@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier1.5 verify race vet test bench-serving bench-json bench-smoke bench-regression soak clean
+.PHONY: all build tier1 tier1.5 verify race vet test bench-serving bench-json bench-ledger bench-ledger-compare bench-smoke bench-regression soak clean
 
 all: verify
 
@@ -52,6 +52,25 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkPackedConvVsGather$$' -benchtime 3x -timeout 30m . \
 		| $(GO) run ./cmd/hesgx-bench2json -o BENCH_PR9.json
 	@cat BENCH_PR9.json
+
+# The inference ledger (benchmark/README.md): one end-to-end row per
+# workload, appended to LEDGER_OUT as JSON lines. bench-ledger-compare takes
+# two such files — typically one from the parent commit, one from the change
+# — and prints medians, ratios and bounds, failing on a regression:
+#   make bench-ledger LEDGER_OUT=benchmark/out/change.jsonl
+#   make bench-ledger-compare A=parent.jsonl B=benchmark/out/change.jsonl
+LEDGER_WORKLOADS = scalar_1c packed_1c lane_2c packed_8192_1c
+LEDGER_OUT ?= benchmark/out/ledger.jsonl
+LEDGER_SEED ?= 1
+bench-ledger:
+	@mkdir -p $(dir $(LEDGER_OUT))
+	@for w in $(LEDGER_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w --seed $(LEDGER_SEED) --out $(LEDGER_OUT) || exit 1; \
+	done
+
+bench-ledger-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-ledger-compare A=<base.jsonl> B=<new.jsonl>"; exit 2; }
+	bash benchmark/run.sh compare $(A) $(B)
 
 # One-iteration pass over every benchmark — CI smoke that the bench code
 # still compiles and runs, without paying for stable timings.

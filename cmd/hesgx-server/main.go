@@ -153,7 +153,10 @@ func run() int {
 			logger.Info("packed convolution plan active",
 				"prefix_steps", info.PrefixSteps,
 				"conv_budget_bits", fmt.Sprintf("%.2f", info.ConvBudgetBits),
-				"pool_budget_bits", fmt.Sprintf("%.2f", info.PoolBudgetBits))
+				"pool_budget_bits", fmt.Sprintf("%.2f", info.PoolBudgetBits),
+				"coeff_tail", info.CoeffTail,
+				"coeff_tail_reason", info.CoeffTailReason,
+				"fc_budget_bits", fmt.Sprintf("%.2f", info.FCBudgetBits))
 		} else {
 			logger.Warn("packed convolution plan inactive; slot-packed queries will be rejected",
 				"reason", info.Reason)

@@ -1,0 +1,125 @@
+package core
+
+import (
+	"fmt"
+
+	"hesgx/internal/he"
+	"hesgx/internal/ring"
+)
+
+// Coefficient-packed FC tail of the packed path.
+//
+// The packed prefix ends in the pool-unpack ECALL. Handing its output to the
+// scalar FC kernel means one fresh public-key encryption per pooled value
+// (864 for the paper CNN) under the enclave tax, only so the FC can read one
+// value per ciphertext. The coefficient tail instead asks the enclave for
+// ONE ciphertext whose plaintext is x(X) = Σ_i x_i·X^i (pooled value i at
+// coefficient i, channel-major — the order flatten assumes) and computes
+// each FC output as a single plaintext product:
+//
+//	W_o(X) = w_{o,0} − Σ_{i≥1} w_{o,i}·X^{n−i}
+//
+// In Z_t[X]/(X^n+1), X^i·X^{n−i} = X^n = −1, so coefficient 0 of x·W_o is
+// exactly Σ_i w_{o,i}·x_i — the same integer the scalar kernel accumulates,
+// mod the same t. Coefficients 1…n−1 hold other weight/activation
+// combinations the scalar layout never produces, so the bias plaintext
+// added to every output also carries a fresh uniform mask on those
+// coefficients: the client decrypts its logit at coefficient 0 and uniform
+// noise everywhere else.
+
+// planCoeffTail decides whether the packed prefix hands the FC a single
+// coefficient-packed ciphertext, returning the predicted budget of the FC
+// outputs on that tail, or the reason the scalar unpack stays.
+func planCoeffTail(params he.Parameters, steps []*planStep, prefix int) (budgetBits float64, reason string) {
+	if len(steps) < prefix+2 || steps[prefix].kind != stepFlatten || steps[prefix+1].kind != stepFC {
+		return 0, "packed prefix is not followed by flatten → fully connected"
+	}
+	fc := steps[prefix+1].fc
+	if fc.In > params.N {
+		return 0, fmt.Sprintf("fc input %d exceeds %d plaintext coefficients", fc.In, params.N)
+	}
+	// One plaintext product against a row of ℓ1 norm ≤ MaxRowL1 over a
+	// fresh (enclave re-encrypted) input, plus the bias/mask plaintext: the
+	// same ℓ1 amplification as the scalar kernel's WeightedSum.
+	noise := params.FreshNoiseBound().MulPlain(float64(fc.MaxRowL1()), fc.In).AddPlain()
+	if noise.Exhausted() {
+		return 0, fmt.Sprintf("coefficient-packed fc noise bound exhausted (%.1f bits; lower WeightScale)", noise.BudgetBits())
+	}
+	return noise.BudgetBits(), ""
+}
+
+// encodeFCRows builds the coefficient tail's weight operands: one prepared
+// plaintext per FC output row (see the file comment for the encoding).
+func (e *HybridEngine) encodeFCRows(s *planStep) error {
+	q, n := s.fc, e.params.N
+	s.fcRowOps = make([]*he.PlainOperand, q.Out)
+	for o := range s.fcRowOps {
+		pt := he.NewPlaintext(e.params)
+		for i, w := range q.W[o*q.In : (o+1)*q.In] {
+			idx := 0
+			if i > 0 {
+				idx, w = n-i, -w
+			}
+			pt.Poly.Coeffs[idx] = e.scalar.EncodeValue(w)
+		}
+		op, err := e.eval.PrepareOperand(pt)
+		if err != nil {
+			return fmt.Errorf("core: encoding fc row %d: %w", o, err)
+		}
+		s.fcRowOps[o] = op
+	}
+	return nil
+}
+
+// runFCCoeff computes the fully connected step over one coefficient-packed
+// input carrying `values` pooled activations: the input is hoisted to
+// evaluation form once, then each output costs one pointwise product, one
+// inverse transform and the masked bias add. Outputs carry their value at
+// coefficient 0, where scalar decryption reads it.
+func (e *HybridEngine) runFCCoeff(s *planStep, in []*he.Ciphertext, values, workers int) ([]*he.Ciphertext, error) {
+	q := s.fc
+	if len(in) != 1 {
+		return nil, fmt.Errorf("coefficient-packed fc input %d cts, want 1", len(in))
+	}
+	if values != q.In {
+		return nil, fmt.Errorf("coefficient-packed fc input carries %d values, want %d", values, q.In)
+	}
+	x := e.toNTTInputs(in, 1)[0]
+	out := make([]*he.Ciphertext, q.Out)
+	err := parallelFor(q.Out, workers, func(o int) error {
+		ct, err := e.eval.MulPlainOperand(x, s.fcRowOps[o])
+		if err != nil {
+			return err
+		}
+		ct.ToCoeff()
+		if err := e.eval.AddPlainInto(ct, e.maskedBias(s.fcBias[o])); err != nil {
+			return err
+		}
+		out[o] = ct
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// maskedBias returns bias (a constant-coefficient plaintext) with fresh
+// uniform values mod t on coefficients 1…n−1. The mask comes from the
+// system's entropy source, never a seeded one: it is what keeps the
+// by-products of the plaintext product from the key holder.
+func (e *HybridEngine) maskedBias(bias *he.Plaintext) *he.Plaintext {
+	src := ring.NewCryptoSource()
+	t := e.params.T
+	// Rejection bound: largest multiple of t below 2^64.
+	bound := ^uint64(0) - (^uint64(0) % t)
+	pt := bias.Copy()
+	for i := 1; i < len(pt.Poly.Coeffs); i++ {
+		v := src.Uint64()
+		for v >= bound {
+			v = src.Uint64()
+		}
+		pt.Poly.Coeffs[i] = v % t
+	}
+	return pt
+}

@@ -7,6 +7,7 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -54,7 +55,7 @@ const (
 const EnclaveName = "hesgx-inference-enclave"
 
 // EnclaveVersion feeds the measurement; bump on trusted-code changes.
-const EnclaveVersion = "1.4.0"
+const EnclaveVersion = "1.5.0"
 
 // EnclaveService hosts the trusted half of the framework on an SGX
 // platform: FV key generation and custody, key provisioning via ECDH for
@@ -717,13 +718,28 @@ func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) 
 	return meter.wrap(enc), nil
 }
 
+// ErrPoolUnpackRequest marks a pool-unpack request the enclave refused
+// before decrypting anything: inconsistent geometry, a batch that does not
+// match the channel count, or a pooled map that does not fit the requested
+// output layout. The untrusted caller built the request, so these are its
+// faults — never a reason to hand back a partial map.
+var ErrPoolUnpackRequest = errors.New("malformed pool unpack request")
+
+func poolUnpackErr(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrPoolUnpackRequest, fmt.Sprintf(format, args...))
+}
+
 // poolUnpack finishes the rotation-based packed pooling kernel: each input
 // ciphertext is a slot-packed channel whose slot (k·oy)·stride + k·ox holds
 // the homomorphically computed window sum for output (oy, ox), with
 // stride = req.Lanes (the slot row stride of the packed layout — the
 // original image width). The enclave decrypts with the rotation-aware
-// packed codec, divides every window sum, and re-encrypts the pooled map as
-// scalar ciphertexts in channel-major order, handing the pipeline back to
+// packed codec, divides every window sum, and re-encrypts the pooled map in
+// channel-major order (the order flatten assumes). With req.CoeffOut the
+// whole map leaves as ONE ciphertext — pooled value i at plaintext
+// coefficient i, the input layout of the engine's coefficient-packed FC
+// kernel — so the boundary is crossed by one public-key encryption instead
+// of C·oh·ow; otherwise it leaves as one scalar ciphertext per value for
 // the scalar flatten/FC tail.
 func (st *enclaveState) poolUnpack(ctx *sgx.Context, input []byte) ([]byte, error) {
 	st.touchKeys(ctx)
@@ -741,33 +757,39 @@ func (st *enclaveState) poolUnpack(ctx *sgx.Context, input []byte) ([]byte, erro
 	}
 	w, h, c, k, stride := int(req.Width), int(req.Height), int(req.Channels), int(req.Window), int(req.Lanes)
 	if w <= 0 || h <= 0 || c <= 0 || k <= 0 {
-		return nil, fmt.Errorf("pool unpack geometry %dx%dx%d window %d invalid", c, h, w, k)
+		return nil, poolUnpackErr("geometry %dx%dx%d window %d invalid", c, h, w, k)
 	}
 	if h%k != 0 || w%k != 0 {
-		return nil, fmt.Errorf("pool unpack window %d does not divide %dx%d", k, h, w)
+		return nil, poolUnpackErr("window %d does not divide %dx%d", k, h, w)
 	}
 	if stride < w {
-		return nil, fmt.Errorf("pool unpack slot stride %d below map width %d", stride, w)
+		return nil, poolUnpackErr("slot stride %d below map width %d", stride, w)
 	}
 	if req.Divisor == 0 {
-		return nil, fmt.Errorf("pool unpack with zero divisor")
+		return nil, poolUnpackErr("zero divisor")
 	}
 	oh, ow := h/k, w/k
 	// All window sums must live in row 0 of the packed layout: rotations
 	// never mix the two rows, so the furthest output slot bounds the map.
 	if maxSlot := (k*(oh-1))*stride + k*(ow-1); maxSlot >= codec.RowLen() {
-		return nil, fmt.Errorf("pool unpack slot %d exceeds row length %d", maxSlot, codec.RowLen())
+		return nil, poolUnpackErr("slot %d exceeds row length %d", maxSlot, codec.RowLen())
+	}
+	coeffOut := req.CoeffOut != 0
+	// oh, ow < row length here, so oh·ow cannot overflow; dividing keeps a
+	// hostile channel count from wrapping the product.
+	if coeffOut && c > st.params.N/(oh*ow) {
+		return nil, poolUnpackErr("pooled map %dx%dx%d exceeds %d plaintext coefficients", c, oh, ow, st.params.N)
 	}
 	cts, err := decodeCiphertextBatch(req.CTs, st.params)
 	if err != nil {
 		return nil, err
 	}
 	if len(cts) != c {
-		return nil, fmt.Errorf("pool unpack batch %d != %d channels", len(cts), c)
+		return nil, poolUnpackErr("batch %d != %d channels", len(cts), c)
 	}
 	var meter budgetMeter
 	d := int64(req.Divisor)
-	out := make([][]int64, c*oh*ow)
+	pooled := make([]int64, c*oh*ow)
 	for ch, ct := range cts {
 		pt, bits, err := keys.dec.DecryptWithBudget(ct)
 		if err != nil {
@@ -780,17 +802,46 @@ func (st *enclaveState) poolUnpack(ctx *sgx.Context, input []byte) ([]byte, erro
 		}
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				sum := slots[(k*oy)*stride+k*ox]
-				out[(ch*oh+oy)*ow+ox] = []int64{divRound(sum, d)}
+				pooled[(ch*oh+oy)*ow+ox] = divRound(slots[(k*oy)*stride+k*ox], d)
 			}
 		}
 		ctx.Touch(st.params.N * 8 * 2)
 	}
-	enc, err := st.encryptVectors(ctx, keys, out, false)
+	var enc []byte
+	if coeffOut {
+		enc, err = st.encryptCoefficients(ctx, keys, pooled)
+	} else {
+		vecs := make([][]int64, len(pooled))
+		for i := range pooled {
+			vecs[i] = pooled[i : i+1]
+		}
+		enc, err = st.encryptVectors(ctx, keys, vecs, false)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return meter.wrap(enc), nil
+}
+
+// encryptCoefficients re-encrypts vals as one fresh ciphertext whose
+// plaintext carries vals[i] (reduced mod t) at coefficient i; the caller
+// has checked len(vals) ≤ n.
+func (st *enclaveState) encryptCoefficients(ctx *sgx.Context, keys *loadedKeys, vals []int64) ([]byte, error) {
+	t := int64(st.params.T)
+	pt := he.NewPlaintext(st.params)
+	for i, v := range vals {
+		r := v % t
+		if r < 0 {
+			r += t
+		}
+		pt.Poly.Coeffs[i] = uint64(r)
+	}
+	ct, err := keys.enc.Encrypt(pt)
+	if err != nil {
+		return nil, fmt.Errorf("re-encrypting coefficient-packed map: %w", err)
+	}
+	ctx.Touch(st.params.N * 8 * 2)
+	return encodeCiphertextBatch([]*he.Ciphertext{ct})
 }
 
 // galoisKeys generates rotation key-switch keys inside the enclave for a

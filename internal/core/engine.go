@@ -128,6 +128,9 @@ type planStep struct {
 	// prepared weight operands (lazily built by EncodeWeights)
 	convOps []*he.PlainOperand // indexed like conv.W
 	fcOps   []*he.PlainOperand
+	// fcRowOps holds one whole-row operand per FC output for the packed
+	// path's coefficient tail (nil unless the plan chose it for this step).
+	fcRowOps []*he.PlainOperand
 	// biasScaled holds biases pre-encoded as plaintexts.
 	convBias []*he.Plaintext
 	fcBias   []*he.Plaintext
@@ -298,12 +301,15 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 // PlanStepInfo describes one planned step of the hybrid pipeline for
 // reporting: its position, kind, metric label, and the static accountant's
 // predicted remaining noise budget (see planStep.predBudgetBits for which
-// ciphertexts the prediction describes).
+// ciphertexts the prediction describes). PackedBudgetBits is set on the
+// steps whose prediction differs for slot-packed images (the rotation-keyed
+// prefix and the coefficient-tail FC) when a packed plan is active.
 type PlanStepInfo struct {
-	Step                int     `json:"step"`
-	Kind                string  `json:"kind"`
-	Label               string  `json:"label"`
-	PredictedBudgetBits float64 `json:"predicted_budget_bits"`
+	Step                int      `json:"step"`
+	Kind                string   `json:"kind"`
+	Label               string   `json:"label"`
+	PredictedBudgetBits float64  `json:"predicted_budget_bits"`
+	PackedBudgetBits    *float64 `json:"packed_budget_bits,omitempty"`
 }
 
 // PlanInfo returns the planned steps with their predicted noise budgets —
@@ -312,6 +318,11 @@ func (e *HybridEngine) PlanInfo() []PlanStepInfo {
 	out := make([]PlanStepInfo, len(e.steps))
 	for i, s := range e.steps {
 		out[i] = PlanStepInfo{Step: i, Kind: s.kind.String(), Label: s.label, PredictedBudgetBits: s.predBudgetBits}
+		if e.packed != nil {
+			if bits, ok := e.packed.budgetBits(i); ok {
+				out[i].PackedBudgetBits = &bits
+			}
+		}
 	}
 	return out
 }
@@ -421,6 +432,9 @@ func (e *HybridEngine) encodeFCStep(s *planStep) error {
 	for i, b := range s.fc.B {
 		s.fcBias[i] = e.scalar.Encode(b)
 	}
+	if p := e.packed; p != nil && p.coeffTail && s == e.steps[p.prefix+1] {
+		return e.encodeFCRows(s)
+	}
 	return nil
 }
 
@@ -511,15 +525,31 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: step %d: %w", i, err)
 		}
+		packedStep := img.Packed && i < packedPrefix(e.packed)
+		// tailStep marks the two steps of a packed request whose kernel the
+		// plan's tail decision selects: the prefix pool (pool-unpack's
+		// output layout) and an FC right behind the flatten that follows it.
+		// Between them cts is one coefficient-packed ciphertext holding
+		// c·h·w values when coeffStep is set.
+		tailStep := img.Packed && ((s.kind == stepPool && packedStep) || (s.kind == stepFC && i == e.packed.prefix+1))
+		coeffStep := tailStep && e.packed.coeffTail
+		predBits := s.predBudgetBits
+		if img.Packed {
+			if bits, ok := e.packed.budgetBits(i); ok {
+				predBits = bits
+			}
+		}
 		sctx, span := trace.StartSpan(ctx, "layer."+s.kind.String(), "engine")
 		span.Arg("step", float64(i)).
 			Arg("cts_in", float64(len(cts))).
-			Arg("pred_budget_bits", s.predBudgetBits)
+			Arg("pred_budget_bits", predBits)
+		if tailStep {
+			span.Arg("coeff_tail", b2f(coeffStep))
+		}
 		start := time.Now()
 		fwd0, inv0 := r.NTTCounts()
 		limb0, crt0 := ring.RNSCounts()
 		ks0, hr0 := he.KeySwitchOps(), he.HoistedRotations()
-		packedStep := img.Packed && i < packedPrefix(e.packed)
 		var err error
 		// The pprof label attributes every CPU sample of this step — and of
 		// the parallelFor workers it spawns, which inherit labels — to the
@@ -550,7 +580,11 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 			case stepFlatten:
 				// No-op on the flat ciphertext slice.
 			case stepFC:
-				cts, err = e.runFCParallel(s, cts, e.effectiveWorkers())
+				if coeffStep {
+					cts, err = e.runFCCoeff(s, cts, c*h*w, e.effectiveWorkers())
+				} else {
+					cts, err = e.runFCParallel(s, cts, e.effectiveWorkers())
+				}
 				scale *= float64(e.cfg.WeightScale)
 				c, h, w = len(cts), 1, 1
 			}
@@ -621,6 +655,14 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		e.metrics.Gauge("he.hoisted_rotations").Set(int64(he.HoistedRotations()))
 	}
 	return &InferenceResult{Logits: cts, OutScale: scale}, nil
+}
+
+// b2f renders a flag as a span argument value.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // mulWeight multiplies a ciphertext by quantized weight index idx of step s

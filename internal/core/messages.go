@@ -218,15 +218,15 @@ type nonlinearRequest struct {
 	// Lanes is the lane count for lane pack/demux calls: how many scalar
 	// ciphertext groups map onto the slots of each packed ciphertext.
 	Lanes uint32
-	CTs   []byte
+	// CoeffOut selects pool-unpack's coefficient-packed output layout: one
+	// ciphertext carrying pooled value i at plaintext coefficient i.
+	CoeffOut uint32
+	CTs      []byte
 }
 
-func (m *nonlinearRequest) marshal() []byte {
-	buf := getPayloadBuffer(56 + len(m.CTs))
-	m.writeHeader(buf, uint32(len(m.CTs)))
-	buf.Write(m.CTs)
-	return buf.Bytes()
-}
+// nonlinearRequestHeaderSize is the fixed envelope ahead of the batch:
+// three u64 scales, eight u32 fields, and the u32 payload length.
+const nonlinearRequestHeaderSize = 3*8 + 8*4 + 4
 
 // writeHeader emits the fixed request envelope declaring ctLen payload
 // bytes to follow.
@@ -241,6 +241,7 @@ func (m *nonlinearRequest) writeHeader(buf *bytes.Buffer, ctLen uint32) {
 	writeU32(buf, m.SIMD)
 	writeU32(buf, m.Act)
 	writeU32(buf, m.Lanes)
+	writeU32(buf, m.CoeffOut)
 	writeU32(buf, ctLen)
 }
 
@@ -256,7 +257,7 @@ func (m *nonlinearRequest) marshalWithBatch(cts []*he.Ciphertext) ([]byte, error
 		}
 		size += ct.WireSize()
 	}
-	buf := getPayloadBuffer(56 + size)
+	buf := getPayloadBuffer(nonlinearRequestHeaderSize + size)
 	m.writeHeader(buf, uint32(size))
 	writeU32(buf, uint32(len(cts)))
 	for i, ct := range cts {
@@ -280,7 +281,7 @@ func unmarshalNonlinearRequest(b []byte) (*nonlinearRequest, error) {
 	if m.Divisor, err = readU64(r); err != nil {
 		return nil, fmt.Errorf("core: request divisor: %w", err)
 	}
-	for _, dst := range []*uint32{&m.Width, &m.Height, &m.Channels, &m.Window, &m.SIMD, &m.Act, &m.Lanes} {
+	for _, dst := range []*uint32{&m.Width, &m.Height, &m.Channels, &m.Window, &m.SIMD, &m.Act, &m.Lanes, &m.CoeffOut} {
 		if *dst, err = readU32(r); err != nil {
 			return nil, fmt.Errorf("core: request geometry: %w", err)
 		}

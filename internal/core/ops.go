@@ -46,10 +46,13 @@ const (
 	// (Window·oy)·Lanes + Window·ox holds the homomorphically computed
 	// window sum for output position (oy, ox). The enclave decrypts with
 	// the rotation-aware packed codec, divides each sum by Divisor
-	// (round-half-away), and re-encrypts the pooled map as scalar
-	// ciphertexts in channel-major order — the layout the flatten/FC tail
-	// of the pipeline consumes. Lanes carries the slot row stride of the
-	// packed layout (the original image width), not a lane count.
+	// (round-half-away), and re-encrypts the pooled map in channel-major
+	// order — the order flatten assumes — in one of two layouts: with
+	// CoeffOut, ONE ciphertext whose plaintext coefficient i is pooled
+	// value i (the input of the coefficient-packed FC kernel; needs
+	// Channels·oh·ow ≤ n); without it, one scalar ciphertext per value for
+	// the scalar FC tail. Lanes carries the slot row stride of the packed
+	// layout (the original image width), not a lane count.
 	OpPoolUnpack
 )
 
@@ -134,11 +137,18 @@ type NonlinearOp struct {
 	// Lanes is the lane count for OpLanePack/OpLaneDemux: how many scalar
 	// ciphertext groups share each slot-packed ciphertext.
 	Lanes int
+	// CoeffOut asks OpPoolUnpack for the coefficient-packed output layout
+	// (one ciphertext, value i at coefficient i) instead of one scalar
+	// ciphertext per pooled value.
+	CoeffOut bool
 }
 
 // Validate checks the op is internally consistent before it crosses the
 // enclave boundary.
 func (op NonlinearOp) Validate() error {
+	if op.CoeffOut && op.Kind != OpPoolUnpack {
+		return fmt.Errorf("core: %s op has no coefficient-packed output", op.Kind)
+	}
 	switch op.Kind {
 	case OpSigmoid, OpActivation:
 		if op.InScale == 0 || op.OutScale == 0 {
@@ -215,6 +225,9 @@ func (op NonlinearOp) request(ctBytes []byte) *nonlinearRequest {
 	}
 	if op.SIMD {
 		req.SIMD = 1
+	}
+	if op.CoeffOut {
+		req.CoeffOut = 1
 	}
 	if req.InScale == 0 {
 		req.InScale = 1

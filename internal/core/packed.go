@@ -27,13 +27,19 @@ import (
 //   - Activation: element-wise, so the existing SIMD enclave path applies
 //     unchanged (a fixed slot permutation commutes with element-wise ops).
 //   - Pooling: the k² window offsets are rotations too; the enclave's
-//     pool-unpack ECALL divides the window sums and hands back scalar
-//     ciphertexts, rejoining the flatten/FC tail of the scalar plan.
+//     pool-unpack ECALL divides the window sums and re-encrypts the pooled
+//     map for the tail of the plan.
+//   - Tail: when the prefix is followed by flatten → FC and the pooled map
+//     fits one plaintext, pool-unpack returns ONE coefficient-packed
+//     ciphertext and the FC runs as one plaintext product per output
+//     (coefftail.go). Otherwise it returns one scalar ciphertext per
+//     pooled value and the scalar plan's steps take over.
 //
 // The integer arithmetic mod t is identical to the scalar layout's, so the
 // packed pipeline is bit-exact against the scalar oracle; only the
 // ciphertext count and the noise path (key-switch terms instead of
-// per-pixel fresh encryptions) change.
+// per-pixel fresh encryptions, one plaintext product instead of a weighted
+// sum) change.
 
 // packedPlan records the packed-prefix decision NewHybridEngine makes when
 // Config.PackedConv is set: which leading steps run on slot-packed
@@ -55,6 +61,13 @@ type packedPlan struct {
 	// do not apply: rotations add key-switch noise).
 	convBudgetBits float64
 	poolBudgetBits float64
+	// coeffTail records the planner's tail decision: pool-unpack emits one
+	// coefficient-packed ciphertext and the FC after the prefix runs the
+	// coefficient kernel, with fcBudgetBits the predicted budget of its
+	// outputs. When false, coeffTailReason says why the scalar unpack stays.
+	coeffTail       bool
+	coeffTailReason string
+	fcBudgetBits    float64
 
 	// mu guards the per-stride Galois key cache and installed key sets.
 	mu sync.Mutex
@@ -136,7 +149,7 @@ func planPacked(params he.Parameters, steps []*planStep, slotCapable bool) (*pac
 	if poolNoise.Exhausted() {
 		return nil, fmt.Sprintf("packed pool noise bound exhausted (%.1f bits)", poolNoise.BudgetBits())
 	}
-	return &packedPlan{
+	p := &packedPlan{
 		prefix:         3,
 		conv:           conv,
 		poolK:          k,
@@ -144,18 +157,44 @@ func planPacked(params he.Parameters, steps []*planStep, slotCapable bool) (*pac
 		convBudgetBits: convNoise.BudgetBits(),
 		poolBudgetBits: poolNoise.BudgetBits(),
 		keys:           map[int]*he.GaloisKeys{},
-	}, ""
+	}
+	p.fcBudgetBits, p.coeffTailReason = planCoeffTail(params, steps, p.prefix)
+	p.coeffTail = p.coeffTailReason == ""
+	return p, ""
+}
+
+// budgetBits returns the packed path's prediction for plan step i when it
+// differs from the scalar plan's (rotations add key-switch noise; the
+// coefficient tail multiplies one fresh ciphertext): the conv output and
+// the activation that refreshes it, the pool sums, and the coefficient-tail
+// FC outputs.
+func (p *packedPlan) budgetBits(i int) (float64, bool) {
+	switch {
+	case i < p.prefix-1:
+		return p.convBudgetBits, true
+	case i == p.prefix-1:
+		return p.poolBudgetBits, true
+	case i == p.prefix+1 && p.coeffTail:
+		return p.fcBudgetBits, true
+	}
+	return 0, false
 }
 
 // PackedInfo reports the engine's packed-execution decision: whether the
 // packed prefix is active, the predicted budgets through its rotation-keyed
 // kernels, and (when inactive) why the planner fell back to scalar layout.
+// For an active prefix it also reports the tail decision: CoeffTail with the
+// predicted budget of the FC outputs, or why pool-unpack keeps emitting
+// scalar ciphertexts.
 type PackedInfo struct {
-	Active         bool    `json:"active"`
-	Reason         string  `json:"reason,omitempty"`
-	PrefixSteps    int     `json:"prefix_steps,omitempty"`
-	ConvBudgetBits float64 `json:"conv_budget_bits,omitempty"`
-	PoolBudgetBits float64 `json:"pool_budget_bits,omitempty"`
+	Active          bool    `json:"active"`
+	Reason          string  `json:"reason,omitempty"`
+	PrefixSteps     int     `json:"prefix_steps,omitempty"`
+	ConvBudgetBits  float64 `json:"conv_budget_bits,omitempty"`
+	PoolBudgetBits  float64 `json:"pool_budget_bits,omitempty"`
+	CoeffTail       bool    `json:"coeff_tail"`
+	CoeffTailReason string  `json:"coeff_tail_reason,omitempty"`
+	FCBudgetBits    float64 `json:"fc_budget_bits,omitempty"`
 }
 
 // PackedInfo returns the packed-execution plan summary.
@@ -164,10 +203,13 @@ func (e *HybridEngine) PackedInfo() PackedInfo {
 		return PackedInfo{Active: false, Reason: e.packedReason}
 	}
 	return PackedInfo{
-		Active:         true,
-		PrefixSteps:    e.packed.prefix,
-		ConvBudgetBits: e.packed.convBudgetBits,
-		PoolBudgetBits: e.packed.poolBudgetBits,
+		Active:          true,
+		PrefixSteps:     e.packed.prefix,
+		ConvBudgetBits:  e.packed.convBudgetBits,
+		PoolBudgetBits:  e.packed.poolBudgetBits,
+		CoeffTail:       e.packed.coeffTail,
+		CoeffTailReason: e.packed.coeffTailReason,
+		FCBudgetBits:    e.packed.fcBudgetBits,
 	}
 }
 
@@ -280,8 +322,9 @@ func (e *HybridEngine) runPackedConv(s *planStep, in []*he.Ciphertext, h, w, str
 
 // runPackedPool sums each k×k window with rotations and hands the sums to
 // the enclave's pool-unpack ECALL, which divides and re-encrypts the pooled
-// map as scalar ciphertexts in channel-major order — the point where the
-// packed prefix rejoins the scalar plan.
+// map in channel-major order: as one coefficient-packed ciphertext when the
+// plan chose the coefficient tail, as scalar ciphertexts — the point where
+// the packed prefix rejoins the scalar plan — otherwise.
 func (e *HybridEngine) runPackedPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w, stride int, gk *he.GaloisKeys) ([]*he.Ciphertext, int, int, error) {
 	k := s.window
 	if len(in) != c {
@@ -315,6 +358,7 @@ func (e *HybridEngine) runPackedPool(ctx context.Context, s *planStep, in []*he.
 		Divisor:  uint64(k * k),
 		Geometry: Geometry{Channels: c, Height: h, Width: w, Window: k},
 		Lanes:    stride,
+		CoeffOut: e.packed.coeffTail,
 	}
 	out, err := e.caller.Nonlinear(ctx, op, sums)
 	if err != nil {

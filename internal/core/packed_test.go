@@ -75,10 +75,10 @@ func TestPackedPaperCNNMatchesScalar(t *testing.T) {
 	}
 	ks0 := he.KeySwitchOps()
 	hr0 := he.HoistedRotations()
-	res, err := engine.Infer(ci)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, fr := inferReported(t, engine, ci)
+	// The whole pool → flatten → FC boundary must have been one
+	// coefficient-packed ciphertext, not a silent scalar unpack.
+	assertTail(t, fr, true, 864)
 	// The packed path must actually have run: 24 conv rotations plus 3
 	// pool rotations per channel, most of them amortized on a hoisted
 	// decomposition.

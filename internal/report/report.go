@@ -45,6 +45,11 @@ type Layer struct {
 	// each. Zero on scalar-layout layers.
 	KeySwitchOps     int `json:"keyswitch_ops,omitempty"`
 	HoistedRotations int `json:"hoisted_rotations,omitempty"`
+	// CoeffTail is set on the pool and FC layers of a slot-packed request
+	// that ran the coefficient-packed tail (pool-unpack emitted one
+	// ciphertext, the FC multiplied it by whole-row operands); false there
+	// means the scalar unpack ran.
+	CoeffTail bool `json:"coeff_tail,omitempty"`
 
 	// Simulated SGX costs summed over the ECALLs this layer triggered.
 	Transitions     int     `json:"transitions,omitempty"`
@@ -189,6 +194,9 @@ func FromTrace(tr *trace.Trace) *FlightReport {
 			}
 			if v, ok := argVal(s, "hoisted_rotations"); ok {
 				l.HoistedRotations = int(v)
+			}
+			if v, ok := argVal(s, "coeff_tail"); ok {
+				l.CoeffTail = v != 0
 			}
 			if v, ok := argVal(s, "pred_budget_bits"); ok {
 				p := v

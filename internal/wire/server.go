@@ -340,13 +340,15 @@ func (s *Server) handleAttest(conn net.Conn, payload []byte) error {
 }
 
 func (s *Server) handleInfer(ctx context.Context, conn net.Conn, payload []byte) error {
-	// The request trace opens before decode and finishes after the reply
-	// frame is written, so its root span is the full server-side
-	// wall-clock of the request.
+	// The server-minted trace opens before decode and finishes just before
+	// the reply frame is written (replyFraming), exactly like a traced
+	// request's: once a client holds its reply, the request's trace and
+	// flight report are already in the tracer's ring. The deferred Finish
+	// is the error-path safety net.
 	tr := s.tracer.Start("request")
 	ctx = trace.With(ctx, tr)
 	defer s.tracer.Finish(tr)
-	if err := s.serveInfer(ctx, conn, payload, nil); err != nil {
+	if err := s.serveInfer(ctx, conn, payload, &replyEnvelope{srv: s, tr: tr, plain: true}); err != nil {
 		return &tracedError{traceID: trace.ID(ctx), err: err}
 	}
 	return nil
@@ -383,12 +385,17 @@ func (s *Server) handleTraced(ctx context.Context, conn net.Conn, payload []byte
 	return nil
 }
 
-// replyEnvelope carries the traced-request reply context: when set, the
-// serve paths wrap their reply in MsgTracedReply with the trace blob.
+// replyEnvelope carries a request's reply context: the trace to finish
+// before the reply frame goes out and how to frame that reply — wrapped in
+// MsgTracedReply with the trace blob for traced requests, as the plain
+// inner type for untraced ones.
 type replyEnvelope struct {
 	srv       *Server
 	tr        *trace.Trace
 	withSpans bool
+	// plain marks an untraced request: the server-minted trace is finished
+	// but the reply carries no envelope.
+	plain bool
 }
 
 // tracedBlob is the JSON payload of a MsgTracedReply envelope.
@@ -418,10 +425,12 @@ func (e *replyEnvelope) prefix(inner MsgType) []byte {
 	return append(p, blob...)
 }
 
-// replyFraming resolves how a serve path frames its reply: enveloped with
-// the trace blob when env is set, the plain inner type otherwise.
+// replyFraming finishes the request's trace and resolves how a serve path
+// frames its reply: enveloped with the trace blob for a traced request, the
+// plain inner type for an untraced one.
 func (e *replyEnvelope) replyFraming(inner MsgType) (MsgType, []byte) {
-	if e == nil {
+	if e.plain {
+		e.srv.tracer.Finish(e.tr)
 		return inner, nil
 	}
 	return MsgTracedReply, e.prefix(inner)
@@ -448,9 +457,9 @@ func (s *Server) serveInfer(ctx context.Context, conn net.Conn, payload []byte, 
 	if err != nil {
 		return fmt.Errorf("wire: inference: %w", err)
 	}
-	// For traced requests the envelope prefix is rendered first: it finishes
-	// the trace and snapshots it, so the blob reflects the complete server
-	// span tree before any reply byte hits the wire.
+	// The framing is resolved first: it finishes the trace (and, for traced
+	// requests, snapshots it into the envelope prefix), so the server span
+	// tree is complete before any reply byte hits the wire.
 	replyType, prefix := env.replyFraming(MsgInferReply)
 	_, espan := trace.StartSpan(ctx, "wire.encode", "wire")
 	var replyLen int
@@ -508,7 +517,7 @@ func (s *Server) handleInferBatch(ctx context.Context, conn net.Conn, payload []
 	tr := s.tracer.Start("request")
 	ctx = trace.With(ctx, tr)
 	defer s.tracer.Finish(tr)
-	if err := s.serveInferBatch(ctx, conn, payload, nil); err != nil {
+	if err := s.serveInferBatch(ctx, conn, payload, &replyEnvelope{srv: s, tr: tr, plain: true}); err != nil {
 		return &tracedError{traceID: trace.ID(ctx), err: err}
 	}
 	return nil
