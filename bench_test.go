@@ -519,7 +519,8 @@ func getFig8(b *testing.B) *fig8Fixture {
 			if err != nil {
 				return err
 			}
-			engine, err := core.NewEngine(svc, hybridModel)
+			// The paper's two-ECALL pipeline, not the fused default plan.
+			engine, err := core.NewEngine(svc, hybridModel, core.WithPoolStrategy(core.ChoosePoolStrategy(2)))
 			if err != nil {
 				return err
 			}
@@ -752,7 +753,7 @@ func BenchmarkSIMDBatchInference64(b *testing.B) {
 		nn.NewFullyConnected(3*5*5, 10, rng),
 	)
 	cfg := core.DefaultConfig()
-	engine, err := core.NewEngine(svc, model, core.WithSIMD(true))
+	engine, err := core.NewEngine(svc, model, core.WithSIMD(true), core.WithPoolStrategy(core.ChoosePoolStrategy(2)))
 	if err != nil {
 		b.Fatal(err)
 	}

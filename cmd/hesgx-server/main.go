@@ -56,6 +56,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
+	"strings"
 	"syscall"
 	"time"
 
@@ -148,6 +149,17 @@ func run() int {
 		logger.Error("planning engine", "err", err)
 		return 1
 	}
+	// One entry per enclave crossing or linear step of a scalar-layout
+	// request: a fused activation+pool pair reads "01_act+02_pool".
+	var plan []string
+	for _, step := range engine.PlanInfo() {
+		if step.Fused && step.Kind == "pool" && len(plan) > 0 {
+			plan[len(plan)-1] += "+" + step.Label
+		} else {
+			plan = append(plan, step.Label)
+		}
+	}
+	logger.Info("hybrid plan", "stages", strings.Join(plan, " "))
 	if *packedConv {
 		if info := engine.PackedInfo(); info.Active {
 			logger.Info("packed convolution plan active",

@@ -139,7 +139,11 @@ func main() {
 			if l.MeasuredBudgetMinBits != nil {
 				meas = fmt.Sprintf("%.1f", *l.MeasuredBudgetMinBits)
 			}
-			fmt.Printf("  %-10s %10.2f %8d %12s %12s\n", l.Label, l.WallMS, l.Transitions, pred, meas)
+			note := ""
+			if l.Fused {
+				note = "  fused: one ECALL for the act+pool pair"
+			}
+			fmt.Printf("  %-10s %10.2f %8d %12s %12s%s\n", l.Label, l.WallMS, l.Transitions, pred, meas, note)
 		}
 		if fr.MinMeasuredBudgetBits != nil {
 			fmt.Printf("  tightest measured budget anywhere in the pipeline: %.1f bits\n", *fr.MinMeasuredBudgetBits)

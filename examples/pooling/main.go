@@ -1,8 +1,10 @@
 // Pooling strategies (§VI-D): SGXDiv computes the window sums
 // homomorphically and asks the enclave only for the division, while SGXPool
 // ships the whole feature map inside. This example measures both across
-// window sizes and shows the crossover rule the framework applies
-// automatically (SGXPool below window 3, SGXDiv from 3 up).
+// window sizes and shows which of the three placements the planner picks on
+// its own: behind a linear layer the paper's crossover rule (SGXPool below
+// window 3, SGXDiv from 3 up), and behind an enclave activation neither —
+// the pool ECALL applies the activation itself, one crossing for the pair.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 
 	"hesgx/internal/core"
 	"hesgx/internal/he"
+	"hesgx/internal/nn"
 	"hesgx/internal/ring"
 	"hesgx/internal/sgx"
 )
@@ -47,7 +50,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%-8s %-12s %-12s %-12s\n", "window", "SGXDiv", "SGXPool", "auto choice")
+	fmt.Printf("%-8s %-12s %-12s %-22s %-s\n", "window", "SGXDiv", "SGXPool", "auto, behind a linear", "auto, behind an activation")
 	for _, k := range []int{2, 3, 4, 6, 8, 12} {
 		out := size / k
 
@@ -88,8 +91,25 @@ func main() {
 		if core.ChoosePoolStrategy(k) == core.PoolSGXPool {
 			choice = "SGXPool"
 		}
-		fmt.Printf("%-8d %-12s %-12s %-12s\n", k,
-			divTime.Round(time.Millisecond), poolTime.Round(time.Millisecond), choice)
+		fmt.Printf("%-8d %-12s %-12s %-22s %-s\n", k,
+			divTime.Round(time.Millisecond), poolTime.Round(time.Millisecond), choice, behindActivation(svc, k, choice))
 	}
-	fmt.Printf("\ncrossover rule: SGXPool when window < %d, SGXDiv otherwise (§VI-D)\n", core.PoolCrossoverWindow)
+	fmt.Printf("\ncrossover rule: SGXPool when window < %d, SGXDiv otherwise (§VI-D);\n", core.PoolCrossoverWindow)
+	fmt.Printf("behind an activation the map is already plaintext inside the enclave, so the pair shares one ECALL\n")
+	fmt.Printf("(on maps of at least 256 ciphertexts, like this %d-ciphertext one; smaller maps keep two calls)\n", size*size)
+}
+
+// behindActivation asks the planner where a k×k mean pool goes when it
+// directly follows an enclave activation under the default PoolAuto.
+func behindActivation(svc *core.EnclaveService, k int, unfused string) string {
+	engine, err := core.NewEngine(svc, nn.NewNetwork(nn.NewActivation(nn.Sigmoid), nn.NewPool2D(nn.MeanPool, k)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, step := range engine.PlanInfo() {
+		if step.Kind == "pool" && step.Fused {
+			return "fused: one ECALL activates, then pools"
+		}
+	}
+	return unfused
 }

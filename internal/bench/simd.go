@@ -53,11 +53,14 @@ func (o Options) RunSIMD() error {
 	}
 
 	pixelScale := core.DefaultConfig().PixelScale
-	scalarEngine, err := core.NewEngine(svc, model)
+	// The paper's pooling strategy for the 2×2 window, named explicitly:
+	// both engines run its two-ECALL activation → pooling pipeline.
+	paperPool := core.WithPoolStrategy(core.ChoosePoolStrategy(2))
+	scalarEngine, err := core.NewEngine(svc, model, paperPool)
 	if err != nil {
 		return err
 	}
-	simdEngine, err := core.NewEngine(svc, model, core.WithSIMD(true))
+	simdEngine, err := core.NewEngine(svc, model, core.WithSIMD(true), paperPool)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"hesgx/internal/diag"
 	"hesgx/internal/encoding"
 	"hesgx/internal/he"
+	"hesgx/internal/nn"
 	"hesgx/internal/ring"
 	"hesgx/internal/sgx"
 	"hesgx/internal/stats"
@@ -55,7 +56,7 @@ const (
 const EnclaveName = "hesgx-inference-enclave"
 
 // EnclaveVersion feeds the measurement; bump on trusted-code changes.
-const EnclaveVersion = "1.5.0"
+const EnclaveVersion = "1.6.0"
 
 // EnclaveService hosts the trusted half of the framework on an SGX
 // platform: FV key generation and custody, key provisioning via ECDH for
@@ -464,129 +465,114 @@ func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs 
 	return encodeCiphertextBatch(cts)
 }
 
-// applyActivationVectors maps applyActivation across value vectors.
-func applyActivationVectors(kind int, vecs [][]int64, inScale, outScale float64) {
-	for _, vec := range vecs {
-		applyActivation(kind, vec, inScale, outScale)
+// applyActivation is the trusted non-linearity: dequantize, evaluate,
+// requantize. The caller has checked kind with checkActKind.
+func applyActivation(kind nn.ActKind, vals []int64, inScale, outScale float64) {
+	for i, v := range vals {
+		vals[i] = int64(math.Round(kind.Apply(float64(v)/inScale) * outScale))
 	}
 }
 
-// applyActivation is the trusted non-linearity: dequantize, evaluate,
-// requantize. kind values match nn.ActKind (1=Sigmoid .. 5=Square).
-func applyActivation(kind int, vals []int64, inScale, outScale float64) {
-	for i, v := range vals {
-		x := float64(v) / inScale
-		var y float64
-		switch kind {
-		case 2: // ReLU
-			y = math.Max(0, x)
-		case 3: // Tanh
-			y = math.Tanh(x)
-		case 4: // LeakyReLU
-			if x < 0 {
-				y = 0.01 * x
-			} else {
-				y = x
-			}
-		case 5: // Square
-			y = x * x
-		default: // Sigmoid
-			y = 1 / (1 + math.Exp(-x))
-		}
-		vals[i] = int64(math.Round(y * outScale))
+// vectorFunc is the plaintext stage of a decrypt–compute–re-encrypt ECALL:
+// it maps the decrypted value vectors to the vectors to re-encrypt.
+type vectorFunc func(vecs [][]int64) ([][]int64, error)
+
+// vectorOp is the one body of those ECALLs (§IV-D): load the keys, parse the
+// envelope, let plan refuse the request before anything is decrypted,
+// decrypt the batch while metering its budgets, run the planned stage on the
+// plaintext, and re-encrypt what it returns.
+func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, plan func(req *nonlinearRequest) (vectorFunc, error)) ([]byte, error) {
+	st.touchKeys(ctx)
+	keys, err := st.loadKeys(ctx)
+	if err != nil {
+		return nil, err
 	}
+	req, err := unmarshalNonlinearRequest(input)
+	if err != nil {
+		return nil, err
+	}
+	compute, err := plan(req)
+	if err != nil {
+		return nil, err
+	}
+	var meter budgetMeter
+	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
+	if err != nil {
+		return nil, err
+	}
+	if vecs, err = compute(vecs); err != nil {
+		return nil, err
+	}
+	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
+	if err != nil {
+		return nil, err
+	}
+	return meter.wrap(out), nil
+}
+
+// activationStage plans the element-wise activation a request carries:
+// decrypted integers are dequantized by InScale, evaluated exactly in
+// floating point, and requantized at OutScale. An unknown kind or a zero
+// scale is refused here, before any ciphertext is decrypted.
+func activationStage(kind int, req *nonlinearRequest) (vectorFunc, error) {
+	if err := checkActKind(kind); err != nil {
+		return nil, err
+	}
+	if req.InScale == 0 || req.OutScale == 0 {
+		return nil, fmt.Errorf("activation with zero scale (in %d, out %d)", req.InScale, req.OutScale)
+	}
+	in, out := float64(req.InScale), float64(req.OutScale)
+	return func(vecs [][]int64) ([][]int64, error) {
+		for _, vec := range vecs {
+			applyActivation(nn.ActKind(kind), vec, in, out)
+		}
+		return vecs, nil
+	}, nil
 }
 
 // sigmoid is the §IV-D plaintext computation for the activation layer:
 // decrypt, exact Sigmoid on dequantized values, requantize, re-encrypt.
 func (st *enclaveState) sigmoid(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
-	if err != nil {
-		return nil, err
-	}
-	applyActivationVectors(1, vecs, float64(req.InScale), float64(req.OutScale))
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(out), nil
+	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+		return activationStage(int(nn.Sigmoid), req)
+	})
 }
 
-// activation generalizes sigmoid to the enclave's configured activation,
-// demonstrating §VI-C's point that SGX evaluates diverse activations
-// (ReLU, Tanh, ...) without approximation.
+// activation generalizes sigmoid to the activation the request names (or,
+// when it names none, the enclave's configured default), demonstrating
+// §VI-C's point that SGX evaluates diverse activations (ReLU, Tanh, ...)
+// without approximation.
 func (st *enclaveState) activation(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
-	if err != nil {
-		return nil, err
-	}
-	kind := int(req.Act)
-	if kind == 0 {
-		kind = int(st.actKind.Load())
-	}
-	if kind == 0 {
-		kind = 1
-	}
-	applyActivationVectors(kind, vecs, float64(req.InScale), float64(req.OutScale))
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(out), nil
+	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+		kind := int(req.Act)
+		if kind == 0 {
+			kind = int(st.actKind.Load())
+		}
+		if kind == 0 {
+			kind = int(nn.Sigmoid)
+		}
+		return activationStage(kind, req)
+	})
 }
 
 // poolDivide implements the second half of the SGXDiv strategy (§VI-D):
 // the window sums arrive already computed homomorphically outside; the
 // enclave performs only the non-linear division.
 func (st *enclaveState) poolDivide(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	if req.Divisor == 0 {
-		return nil, fmt.Errorf("pool divide with zero divisor")
-	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
-	if err != nil {
-		return nil, err
-	}
-	d := int64(req.Divisor)
-	for _, vec := range vecs {
-		for i, v := range vec {
-			vec[i] = divRound(v, d)
+	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+		if req.Divisor == 0 {
+			return nil, fmt.Errorf("pool divide with zero divisor")
 		}
-	}
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(out), nil
+		d := int64(req.Divisor)
+		return func(vecs [][]int64) ([][]int64, error) {
+			for _, vec := range vecs {
+				for i, v := range vec {
+					vec[i] = divRound(v, d)
+				}
+			}
+			return vecs, nil
+		}, nil
+	})
 }
 
 // divRound divides with round-half-away-from-zero.
@@ -610,31 +596,44 @@ func (st *enclaveState) poolMax(ctx *sgx.Context, input []byte) ([]byte, error) 
 	return st.poolKind(ctx, input, true)
 }
 
+// poolKind pools a whole feature map in plaintext. A request that carries an
+// activation kind is a fused stage: the map is the linear layer's output, and
+// the activation runs on the decrypted integers first — the values
+// entering the pool are the ones a separate activation ECALL would have
+// re-encrypted, so one crossing replaces two and only the pooled map is
+// re-encrypted.
 func (st *enclaveState) poolKind(ctx *sgx.Context, input []byte, usesMax bool) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	w, h, c, k := int(req.Width), int(req.Height), int(req.Channels), int(req.Window)
-	if w <= 0 || h <= 0 || c <= 0 || k <= 0 {
-		return nil, fmt.Errorf("pool geometry %dx%dx%d window %d invalid", c, h, w, k)
-	}
-	if h%k != 0 || w%k != 0 {
-		return nil, fmt.Errorf("pool window %d does not divide %dx%d", k, h, w)
-	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
-	if err != nil {
-		return nil, err
-	}
-	if len(vecs) != c*h*w {
-		return nil, fmt.Errorf("pool batch %d != %d*%d*%d", len(vecs), c, h, w)
-	}
+	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+		w, h, c, k := int(req.Width), int(req.Height), int(req.Channels), int(req.Window)
+		// The per-dimension cap keeps c·h·w from wrapping on a hostile envelope.
+		if w <= 0 || h <= 0 || c <= 0 || k <= 0 || max(w, h, c) > maxBatchCiphertexts {
+			return nil, fmt.Errorf("pool geometry %dx%dx%d window %d invalid", c, h, w, k)
+		}
+		if h%k != 0 || w%k != 0 {
+			return nil, fmt.Errorf("pool window %d does not divide %dx%d", k, h, w)
+		}
+		var activate vectorFunc
+		if req.Act != 0 {
+			var err error
+			if activate, err = activationStage(int(req.Act), req); err != nil {
+				return nil, err
+			}
+		}
+		return func(vecs [][]int64) ([][]int64, error) {
+			if len(vecs) != c*h*w {
+				return nil, fmt.Errorf("pool batch %d != %d*%d*%d", len(vecs), c, h, w)
+			}
+			if activate != nil {
+				vecs, _ = activate(vecs) // element-wise and in place: it cannot fail
+			}
+			return poolVectors(vecs, c, h, w, k, usesMax), nil
+		}, nil
+	})
+}
+
+// poolVectors pools a channel-major c×h×w map of value vectors with a k×k
+// window, slot by slot: the window maximum, or its round-half-away mean.
+func poolVectors(vecs [][]int64, c, h, w, k int, usesMax bool) [][]int64 {
 	width := 1
 	if len(vecs) > 0 {
 		width = len(vecs[0])
@@ -673,11 +672,7 @@ func (st *enclaveState) poolKind(ctx *sgx.Context, input []byte, usesMax bool) (
 			}
 		}
 	}
-	enc, err := st.encryptVectors(ctx, keys, out, req.SIMD != 0)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+	return out
 }
 
 // refresh decrypts and immediately re-encrypts the full plaintext

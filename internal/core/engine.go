@@ -21,15 +21,33 @@ type PoolStrategy int
 
 // Pooling strategies.
 const (
-	// PoolAuto applies the paper's crossover rule: SGXPool for windows
-	// smaller than PoolCrossoverWindow, SGXDiv otherwise.
+	// PoolAuto leaves the choice to the planner. A pool directly behind an
+	// enclave activation joins it in one ECALL whatever the window (see
+	// planStep.fused): the map is already plaintext inside the enclave, so
+	// the fused stage costs N decrypts + N/k² encrypts where either paper
+	// strategy behind a separate activation costs N + N/k² of each. A pool
+	// behind a linear layer follows the paper's crossover rule: SGXPool for
+	// windows smaller than PoolCrossoverWindow, SGXDiv otherwise.
 	PoolAuto PoolStrategy = iota + 1
 	// PoolSGXDiv computes window sums homomorphically outside the enclave
-	// and only divides inside ("SGXDiv").
+	// and only divides inside ("SGXDiv"). Explicit strategies are the
+	// paper's measured two-ECALL pipelines and never fuse.
 	PoolSGXDiv
 	// PoolSGXPool sends the whole feature map into the enclave ("SGXPool").
 	PoolSGXPool
 )
+
+// fusedStageMinCiphertexts is the smallest feature map, in ciphertexts, over
+// which a planned act+pool pair shares one ECALL; a smaller map keeps the
+// two-call sequence. It is scope, not a crossover: the arithmetic favours
+// fusing at every size. The floor sits where the serving batcher
+// (serve.DefaultBatcherConfig().MaxBatch) stops coalescing element-wise
+// activation batches across concurrent requests and routes them direct, so
+// fusing at or above it forfeits nothing the batcher would have shared,
+// while below it the activation stays the batchable call the serving tests
+// and the benchmark's toy-model trace (a core.enclave.sigmoid span on a
+// 72-ciphertext map) expect under the default plan.
+const fusedStageMinCiphertexts = 256
 
 // PoolCrossoverWindow is the window size at which SGXDiv overtakes SGXPool
 // in §VI-D: "choose SGXPool when the window size is less than 3 and select
@@ -80,7 +98,8 @@ type Config struct {
 	// Workers parallelizes the homomorphic linear layers across goroutines:
 	// 0 or 1 = sequential (keeps timings comparable to the paper's
 	// single-threaded SEAL runs), -1 = one per CPU, n > 1 = exactly n.
-	// Enclave calls remain batched and sequential either way.
+	// Enclave stages (one ECALL per activation, pool, or fused
+	// activation+pool pair) remain batched and sequential either way.
 	Workers int
 	// PackedConv enables the rotation-keyed packed execution prefix for
 	// images encrypted with Client.EncryptImagePacked: whole feature maps
@@ -120,7 +139,8 @@ type planStep struct {
 	// prediction of the remaining budget of this step's ciphertexts: for
 	// linear steps, the budget of the outputs; for enclave steps (act,
 	// pool), the budget of the ciphertexts *entering* the refresh — the
-	// value directly comparable to the budget the enclave measures.
+	// value directly comparable to the budget the enclave measures. The two
+	// halves of a fused stage both carry the budget entering its one ECALL.
 	predBudgetBits float64
 
 	conv *nn.QuantizedConv
@@ -138,6 +158,17 @@ type planStep struct {
 	act    nn.ActKind
 	window int
 	pool   nn.PoolKind
+
+	// fused marks the two halves of an enclave stage the planner merged
+	// into one ECALL (scalar and lane layouts; the rotation-packed prefix
+	// keeps its own kernels). The act step issues no ECALL; the pool step
+	// behind it sends the whole pre-activation map with act and actInScale
+	// next to its geometry, and the enclave activates, then pools, the
+	// decrypted integers. Exactness needs no new check: the planner already
+	// bounds the activation's output below t/2, so the mod-t reduction the
+	// skipped re-encryption would have applied is the identity.
+	fused      bool
+	actInScale uint64
 }
 
 type stepKind int
@@ -248,35 +279,51 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 			maxMag = q.MaxOutputMagnitude(maxMag)
 			scale *= float64(cfg.WeightScale)
 		case *nn.Activation:
+			if err := checkActKind(int(v.Kind)); err != nil {
+				return nil, fmt.Errorf("core: layer %d: %w", i, err)
+			}
 			// The recorded prediction is the budget entering the enclave;
 			// re-encryption resets the accountant (§IV-E).
-			e.steps = append(e.steps, &planStep{kind: stepAct, act: v.Kind, predBudgetBits: noise.BudgetBits()})
+			e.steps = append(e.steps, &planStep{kind: stepAct, act: v.Kind, actInScale: uint64(scale), predBudgetBits: noise.BudgetBits()})
 			noise = noise.Refresh()
-			switch v.Kind {
+			switch x := float64(maxMag) / scale; v.Kind {
 			case nn.Sigmoid, nn.Tanh:
 				maxMag = int64(cfg.ActScale)
+			case nn.Square:
+				// Clamped so an out-of-range square still trips the t/2
+				// check below instead of wrapping the conversion.
+				maxMag = int64(math.Min(math.Ceil(x*x*float64(cfg.ActScale)), float64(tHalf)))
 			default:
-				// Non-squashing activations preserve magnitude up to
-				// rescaling.
-				maxMag = int64(math.Ceil(float64(maxMag) / scale * float64(cfg.ActScale)))
+				// The ReLU family preserves magnitude up to rescaling.
+				maxMag = int64(math.Ceil(x * float64(cfg.ActScale)))
 			}
 			scale = float64(cfg.ActScale)
 		case *nn.Pool2D:
 			if v.Kind == nn.SumPool {
 				return nil, fmt.Errorf("core: layer %d: the hybrid engine computes true mean pooling; SumPool belongs to the pure-HE baseline", i)
 			}
-			if v.Kind != nn.MaxPool && e.poolStrategyFor(v) == PoolSGXDiv {
-				// SGXDiv sums k² ciphertexts homomorphically before the
-				// enclave divides: the window sum is what gets decrypted.
-				noise = noise.WeightedSum(float64(v.K*v.K), v.K*v.K)
-				// The window sum's transient magnitude is also checked
-				// for exactness here.
-				transient := maxMag * int64(v.K*v.K)
-				if transient >= tHalf {
-					return nil, fmt.Errorf("core: layer %d: SGXDiv window sum magnitude %d exceeds t/2 = %d", i, transient, tHalf)
+			step := &planStep{kind: stepPool, window: v.K, pool: v.Kind}
+			if n := len(e.steps); n > 0 && e.steps[n-1].kind == stepAct && cfg.Pool == PoolAuto && !cfg.SingleECalls {
+				// One crossing for the pair: what enters the enclave is the
+				// activation's input, at the scale and budget it recorded.
+				act := e.steps[n-1]
+				act.fused, step.fused = true, true
+				step.act, step.actInScale, step.predBudgetBits = act.act, act.actInScale, act.predBudgetBits
+			} else {
+				if v.Kind != nn.MaxPool && e.poolStrategyFor(v) == PoolSGXDiv {
+					// SGXDiv sums k² ciphertexts homomorphically before the
+					// enclave divides: the window sum is what gets decrypted.
+					noise = noise.WeightedSum(float64(v.K*v.K), v.K*v.K)
+					// The window sum's transient magnitude is also checked
+					// for exactness here.
+					transient := maxMag * int64(v.K*v.K)
+					if transient >= tHalf {
+						return nil, fmt.Errorf("core: layer %d: SGXDiv window sum magnitude %d exceeds t/2 = %d", i, transient, tHalf)
+					}
 				}
+				step.predBudgetBits = noise.BudgetBits()
 			}
-			e.steps = append(e.steps, &planStep{kind: stepPool, window: v.K, pool: v.Kind, predBudgetBits: noise.BudgetBits()})
+			e.steps = append(e.steps, step)
 			noise = noise.Refresh()
 		case *nn.Flatten:
 			e.steps = append(e.steps, &planStep{kind: stepFlatten, predBudgetBits: noise.BudgetBits()})
@@ -303,13 +350,16 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 // predicted remaining noise budget (see planStep.predBudgetBits for which
 // ciphertexts the prediction describes). PackedBudgetBits is set on the
 // steps whose prediction differs for slot-packed images (the rotation-keyed
-// prefix and the coefficient-tail FC) when a packed plan is active.
+// prefix and the coefficient-tail FC) when a packed plan is active. Fused
+// marks both halves of an activation+pool pair that shares one ECALL: the
+// act step issues none, the pool step's ECALL applies the activation first.
 type PlanStepInfo struct {
 	Step                int      `json:"step"`
 	Kind                string   `json:"kind"`
 	Label               string   `json:"label"`
 	PredictedBudgetBits float64  `json:"predicted_budget_bits"`
 	PackedBudgetBits    *float64 `json:"packed_budget_bits,omitempty"`
+	Fused               bool     `json:"fused,omitempty"`
 }
 
 // PlanInfo returns the planned steps with their predicted noise budgets —
@@ -317,7 +367,7 @@ type PlanStepInfo struct {
 func (e *HybridEngine) PlanInfo() []PlanStepInfo {
 	out := make([]PlanStepInfo, len(e.steps))
 	for i, s := range e.steps {
-		out[i] = PlanStepInfo{Step: i, Kind: s.kind.String(), Label: s.label, PredictedBudgetBits: s.predBudgetBits}
+		out[i] = PlanStepInfo{Step: i, Kind: s.kind.String(), Label: s.label, PredictedBudgetBits: s.predBudgetBits, Fused: s.fused}
 		if e.packed != nil {
 			if bits, ok := e.packed.budgetBits(i); ok {
 				out[i].PackedBudgetBits = &bits
@@ -546,6 +596,13 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		if tailStep {
 			span.Arg("coeff_tail", b2f(coeffStep))
 		}
+		// The packed prefix keeps its own act and pool-unpack ECALLs. Both
+		// halves of a pair see the same batch (a fused activation passes it
+		// on untouched), so they agree on the floor.
+		fusedStep := s.fused && !packedStep && len(cts) >= fusedStageMinCiphertexts
+		if fusedStep {
+			span.Arg("fused", 1)
+		}
 		start := time.Now()
 		fwd0, inv0 := r.NTTCounts()
 		limb0, crt0 := ring.RNSCounts()
@@ -568,14 +625,18 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 			case stepAct:
 				// Packed feature maps go through the element-wise SIMD
 				// enclave path: a fixed slot permutation commutes with
-				// element-wise activation, so the batch codec applies.
-				cts, err = e.runActivation(lctx, s, cts, uint64(scale), simd || packedStep)
+				// element-wise activation, so the batch codec applies. A
+				// fused activation passes the map on untouched: the pool
+				// step behind it applies it inside its own ECALL.
+				if !fusedStep {
+					cts, err = e.runActivation(lctx, s, cts, simd || packedStep)
+				}
 				scale = float64(e.cfg.ActScale)
 			case stepPool:
 				if packedStep {
 					cts, h, w, err = e.runPackedPool(lctx, s, cts, c, h, w, stride, gk)
 				} else {
-					cts, h, w, err = e.runPool(lctx, s, cts, c, h, w, simd)
+					cts, h, w, err = e.runPool(lctx, s, cts, c, h, w, simd, fusedStep)
 				}
 			case stepFlatten:
 				// No-op on the flat ciphertext slice.
@@ -619,7 +680,7 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 			return nil, fmt.Errorf("core: step %d: %w", i, err)
 		}
 		span.Arg("cts_out", float64(len(cts))).End()
-		if e.metrics != nil && s.kind != stepFlatten {
+		if e.metrics != nil && s.kind != stepFlatten && !(fusedStep && s.kind == stepAct) {
 			e.metrics.ObserveHistogram("engine.layer."+s.kind.String()+"_ms",
 				float64(time.Since(start).Microseconds())/1000.0)
 			if s.kind == stepConv || s.kind == stepFC {
@@ -674,11 +735,11 @@ func (e *HybridEngine) mulWeight(ct *he.Ciphertext, ops []*he.PlainOperand, weig
 	return e.eval.MulScalar(ct, e.scalar.EncodeValue(weights[idx]))
 }
 
-func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.Ciphertext, inScale uint64, simd bool) ([]*he.Ciphertext, error) {
+func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.Ciphertext, simd bool) ([]*he.Ciphertext, error) {
 	op := NonlinearOp{
 		Kind:     OpActivation,
 		SIMD:     simd,
-		InScale:  inScale,
+		InScale:  s.actInScale,
 		OutScale: e.cfg.ActScale,
 		// Carrying the kind in the op (rather than mutating enclave state
 		// with SetActivation) keeps concurrent inferences with different
@@ -686,7 +747,7 @@ func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.
 		Act: int(s.act),
 	}
 	if s.act == nn.Sigmoid {
-		op = NonlinearOp{Kind: OpSigmoid, SIMD: simd, InScale: inScale, OutScale: e.cfg.ActScale}
+		op = NonlinearOp{Kind: OpSigmoid, SIMD: simd, InScale: s.actInScale, OutScale: e.cfg.ActScale}
 	}
 	if e.cfg.SingleECalls {
 		// The EncryptSGX(single) control of Fig. 8: one ECALL per value.
@@ -703,7 +764,7 @@ func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.
 	return e.caller.Nonlinear(ctx, op, in)
 }
 
-func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w int, simd bool) ([]*he.Ciphertext, int, int, error) {
+func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w int, simd, fused bool) ([]*he.Ciphertext, int, int, error) {
 	if len(in) != c*h*w {
 		return nil, 0, 0, fmt.Errorf("pool input %d cts != %d*%d*%d", len(in), c, h, w)
 	}
@@ -712,15 +773,19 @@ func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Cipher
 		return nil, 0, 0, fmt.Errorf("pool window %d does not divide %dx%d", k, h, w)
 	}
 	oh, ow := h/k, w/k
-	geom := Geometry{Channels: c, Height: h, Width: w, Window: k}
-	if s.pool == nn.MaxPool {
-		out, err := e.caller.Nonlinear(ctx, NonlinearOp{Kind: OpPoolMax, SIMD: simd, Geometry: geom}, in)
-		return out, oh, ow, err
+	op := NonlinearOp{SIMD: simd, Geometry: Geometry{Channels: c, Height: h, Width: w, Window: k}}
+	if fused {
+		// The batch is the activation's input: the enclave activates the
+		// decrypted integers, then pools them, in this one ECALL.
+		op.Act, op.InScale, op.OutScale = int(s.act), s.actInScale, e.cfg.ActScale
 	}
-	switch e.poolStrategyFor(&nn.Pool2D{Kind: s.pool, K: k}) {
-	case PoolSGXPool:
-		out, err := e.caller.Nonlinear(ctx, NonlinearOp{Kind: OpPoolFull, SIMD: simd, Geometry: geom}, in)
-		return out, oh, ow, err
+	switch {
+	case s.pool == nn.MaxPool:
+		op.Kind = OpPoolMax
+	case s.fused || e.poolStrategyFor(&nn.Pool2D{Kind: s.pool, K: k}) == PoolSGXPool:
+		// A planned pair under the floor still pools the whole map inside:
+		// its plan skipped SGXDiv's window-sum magnitude check.
+		op.Kind = OpPoolFull
 	default: // PoolSGXDiv: homomorphic window sums, enclave division.
 		sums := make([]*he.Ciphertext, c*oh*ow)
 		for ch := 0; ch < c; ch++ {
@@ -745,6 +810,8 @@ func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Cipher
 		out, err := e.caller.Nonlinear(ctx, NonlinearOp{Kind: OpPoolDivide, SIMD: simd, Divisor: uint64(k * k)}, sums)
 		return out, oh, ow, err
 	}
+	out, err := e.caller.Nonlinear(ctx, op, in)
+	return out, oh, ow, err
 }
 
 // ReferenceForward runs the identical integer pipeline in plaintext — the
@@ -765,7 +832,7 @@ func (e *HybridEngine) ReferenceForward(img *nn.Tensor) ([]int64, error) {
 			vals, c, h, w = out, s.conv.OutC, oh, ow
 			scale *= float64(e.cfg.WeightScale)
 		case stepAct:
-			applyActivation(int(s.act), vals, scale, float64(e.cfg.ActScale))
+			applyActivation(s.act, vals, scale, float64(e.cfg.ActScale))
 			scale = float64(e.cfg.ActScale)
 		case stepPool:
 			out, err := referencePool(vals, c, h, w, s.window, s.pool)

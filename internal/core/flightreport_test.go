@@ -17,9 +17,12 @@ import (
 )
 
 // TestFlightReportPaperCNN is the end-to-end contract of the noise
-// telemetry: a paper-CNN inference produces a flight report whose enclave
-// layers each carry a measured budget (sampled at every SGX refresh), the
-// static accountant's prediction is a conservative lower bound on that
+// telemetry: a paper-CNN inference produces a flight report whose
+// ECALL-issuing enclave layers each carry a measured budget (sampled at
+// every SGX refresh) — under the default plan that is the fused pool layer,
+// whose ECALL applies the activation in front of it, while the act layer
+// keeps its slot with a prediction and nothing measured —, the static
+// accountant's prediction is a conservative lower bound on that
 // measurement per layer, and the metrics registry renders the per-layer
 // and budget series as lint-clean Prometheus text — all while the logits
 // still equal the plaintext integer reference.
@@ -105,8 +108,20 @@ func TestFlightReportPaperCNN(t *testing.T) {
 		if l.Kind != "act" && l.Kind != "pool" {
 			continue
 		}
-		// Every enclave layer refreshes, so every refresh must have
-		// sampled the real budget.
+		if !l.Fused {
+			t.Errorf("layer %s: the default plan fuses the act+pool pair", l.Label)
+		}
+		if l.Kind == "act" {
+			// The fused act layer issues no ECALL: its work and its
+			// measurement belong to the pool layer behind it.
+			if l.Transitions != 0 || l.MeasuredBudgetMinBits != nil || l.CtsOut != l.CtsIn {
+				t.Errorf("fused layer %s: transitions %d, measured %v, cts %d -> %d; want an untouched pass-through",
+					l.Label, l.Transitions, l.MeasuredBudgetMinBits, l.CtsIn, l.CtsOut)
+			}
+			continue
+		}
+		// Every ECALL-issuing enclave layer refreshes, so every refresh
+		// must have sampled the real budget.
 		if l.MeasuredBudgetMinBits == nil {
 			t.Errorf("enclave layer %s: no measured budget", l.Label)
 			continue
@@ -120,8 +135,13 @@ func TestFlightReportPaperCNN(t *testing.T) {
 			t.Errorf("enclave layer %s: no transitions attributed", l.Label)
 		}
 	}
-	if enclaveLayers == 0 {
-		t.Fatal("no enclave layer carried a measured budget")
+	if enclaveLayers != 1 {
+		t.Fatalf("%d enclave layers carried a measured budget, want the one fused stage", enclaveLayers)
+	}
+	for _, p := range engine.PlanInfo() {
+		if want := p.Kind == "act" || p.Kind == "pool"; p.Fused != want {
+			t.Errorf("plan step %s: fused = %v, want %v", p.Label, p.Fused, want)
+		}
 	}
 	if fr.MinMeasuredBudgetBits == nil || *fr.MinMeasuredBudgetBits <= 0 {
 		t.Fatal("report-level measured budget minimum missing or exhausted")
@@ -133,7 +153,7 @@ func TestFlightReportPaperCNN(t *testing.T) {
 	if err := stats.LintPrometheusText(strings.NewReader(text)); err != nil {
 		t.Fatalf("/metrics exposition does not lint: %v\n%s", err, text)
 	}
-	for _, series := range []string{"noise_budget_remaining_bits", "layer_01_act_wall_ms", "layer_01_act_budget_min_bits", "noise_predicted_gap_bits"} {
+	for _, series := range []string{"noise_budget_remaining_bits", "layer_02_pool_wall_ms", "layer_02_pool_budget_min_bits", "noise_predicted_gap_bits"} {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition missing %s series", series)
 		}

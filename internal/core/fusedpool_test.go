@@ -1,0 +1,449 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	mrand "math/rand/v2"
+	"slices"
+	"testing"
+
+	"hesgx/internal/he"
+	"hesgx/internal/nn"
+	"hesgx/internal/ring"
+	"hesgx/internal/sgx"
+)
+
+// fusedStack is one enclave, its platform (for ECALL counting) and an
+// attested client, on low-lift batching-capable parameters so every
+// activation kind and both layouts (scalar, SIMD/lane) run on it.
+type fusedStack struct {
+	platform *sgx.Platform
+	svc      *EnclaveService
+	client   *Client
+}
+
+func newFusedStack(t testing.TB, n int) *fusedStack {
+	t.Helper()
+	tm, err := SIMDBatchingModulus(n, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := he.DefaultParametersLowLift(n, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := sgx.NewPlatform(sgx.ZeroCost(), sgx.WithJitterSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewEnclaveService(platform, params, WithKeySource(ring.NewSeededSource(uint64(n))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fusedStack{platform: platform, svc: svc, client: testClient(t, svc)}
+}
+
+// fusedConfig is the benchmark's fixed-point pipeline with a given strategy.
+func fusedConfig(pool PoolStrategy) Config {
+	return Config{PixelScale: 63, WeightScale: 8, ActScale: 256, Pool: pool}
+}
+
+// fusedNet is conv 2×(3×3) → act → k×k pool → FC 3 over a 14×14 image: the
+// 2×12×12 map behind the conv is 288 ciphertexts, above the fusion floor,
+// and 12 divides by both windows under test.
+func fusedNet(r *mrand.Rand, act nn.ActKind, pool nn.PoolKind, k int) *nn.Network {
+	side := 12 / k
+	return nn.NewNetwork(
+		nn.NewConv2D(1, 2, 3, 1, r),
+		nn.NewActivation(act),
+		nn.NewPool2D(pool, k),
+		&nn.Flatten{},
+		nn.NewFullyConnected(2*side*side, 3, r),
+	)
+}
+
+// inferCounted runs one inference and returns the decrypted per-image logits
+// with the ECALLs the platform counted for it.
+func (s *fusedStack) inferCounted(t testing.TB, engine *HybridEngine, ci *CipherImage) ([][]int64, uint64) {
+	t.Helper()
+	before := s.platform.Snapshot()
+	res, err := engine.Infer(ci)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecalls := s.platform.Snapshot().Sub(before).ECalls
+	if ci.Lanes > 1 {
+		got, err := s.client.DecryptValueBatch(res.Logits, ci.Lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, ecalls
+	}
+	got, err := s.client.DecryptValues(res.Logits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]int64{got}, ecalls
+}
+
+// TestFusedPoolMatchesTwoCallStrategies is the equivalence contract of the
+// fused enclave stage: over randomized networks covering every activation,
+// both pool kinds, both windows and both layouts, the default plan (one
+// ECALL for the act+pool pair) and the paper's two explicit strategies (two
+// ECALLs) all produce logits bit-identical to the plaintext integer oracle.
+// The ECALL count is asserted from the platform, so a silent fallback to
+// two calls — or a silent fusion of an explicit strategy — fails.
+func TestFusedPoolMatchesTwoCallStrategies(t *testing.T) {
+	s := newFusedStack(t, 2048)
+	r := mrand.New(mrand.NewPCG(13, 31))
+	acts := []nn.ActKind{nn.Sigmoid, nn.ReLU, nn.Tanh, nn.LeakyReLU, nn.Square}
+	pools := []nn.PoolKind{nn.MeanPool, nn.MaxPool}
+	// Every activation × pool kind runs; window and layout rotate from a
+	// random start so all four (window, layout) pairs are covered too.
+	variant := r.IntN(4)
+	for _, act := range acts {
+		for _, pool := range pools {
+			k, simd := 2+variant%2, variant/2 == 1
+			variant = (variant + 1) % 4
+			t.Run(fmt.Sprintf("%s/%s/k%d/simd=%v", act, pool, k, simd), func(t *testing.T) {
+				model := fusedNet(r, act, pool, k)
+				imgs := []*nn.Tensor{randomImage(r, 1, 14, 14)}
+				if simd {
+					imgs = append(imgs, randomImage(r, 1, 14, 14), randomImage(r, 1, 14, 14))
+				}
+				ci, err := s.client.EncryptImages(imgs, 63)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tc := range []struct {
+					name   string
+					pool   PoolStrategy
+					ecalls uint64
+				}{{"auto", PoolAuto, 1}, {"sgxpool", PoolSGXPool, 2}, {"sgxdiv", PoolSGXDiv, 2}} {
+					engine, err := newHybridEngine(s.svc, model, fusedConfig(tc.pool))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, ecalls := s.inferCounted(t, engine, ci)
+					if ecalls != tc.ecalls {
+						t.Errorf("%s: %d ECALLs for the act+pool pair, want %d", tc.name, ecalls, tc.ecalls)
+					}
+					for i, img := range imgs {
+						want, err := engine.ReferenceForward(img)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got[i], want) {
+							t.Errorf("%s image %d: logits %v != reference %v", tc.name, i, got[i], want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// opRecorder notes the op kinds an engine sends to the enclave.
+type opRecorder struct {
+	next  NonlinearCaller
+	kinds []OpKind
+}
+
+func (o *opRecorder) Nonlinear(ctx context.Context, op NonlinearOp, cts []*he.Ciphertext) ([]*he.Ciphertext, error) {
+	o.kinds = append(o.kinds, op.Kind)
+	return o.next.Nonlinear(ctx, op, cts)
+}
+
+// TestFusionOnlyWhereThePlanSaysSo pins every sequence that must keep its
+// own ECALLs: an activation feeding a linear layer, a pool behind a linear
+// layer, the per-value control group, a map under the fusion floor, and the
+// rotation-packed prefix.
+func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
+	s := newFusedStack(t, 2048)
+	r := mrand.New(mrand.NewPCG(17, 71))
+	img := randomImage(r, 1, 14, 14)
+	ci, err := s.client.EncryptImages([]*nn.Tensor{img}, 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := func(e *HybridEngine) (n int) {
+		for _, p := range e.PlanInfo() {
+			if p.Fused {
+				n++
+			}
+		}
+		return n
+	}
+	check := func(t *testing.T, engine *HybridEngine, ci *CipherImage, img *nn.Tensor, wantFused int, wantECalls uint64) {
+		t.Helper()
+		if got := fused(engine); got != wantFused {
+			t.Errorf("plan marks %d steps fused, want %d", got, wantFused)
+		}
+		got, ecalls := s.inferCounted(t, engine, ci)
+		if ecalls != wantECalls {
+			t.Errorf("%d ECALLs, want %d", ecalls, wantECalls)
+		}
+		want, err := engine.ReferenceForward(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[0], want) {
+			t.Errorf("logits %v != reference %v", got[0], want)
+		}
+	}
+
+	t.Run("act feeds fc", func(t *testing.T) {
+		model := nn.NewNetwork(nn.NewConv2D(1, 2, 3, 1, r), nn.NewActivation(nn.Sigmoid),
+			&nn.Flatten{}, nn.NewFullyConnected(2*12*12, 3, r))
+		engine, err := newHybridEngine(s.svc, model, fusedConfig(PoolAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, engine, ci, img, 0, 1)
+	})
+	t.Run("conv feeds pool", func(t *testing.T) {
+		model := nn.NewNetwork(nn.NewConv2D(1, 2, 3, 1, r), nn.NewPool2D(nn.MeanPool, 2),
+			nn.NewActivation(nn.Sigmoid), &nn.Flatten{}, nn.NewFullyConnected(2*6*6, 3, r))
+		engine, err := newHybridEngine(s.svc, model, fusedConfig(PoolAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, engine, ci, img, 0, 2)
+	})
+	t.Run("single ecalls", func(t *testing.T) {
+		cfg := fusedConfig(PoolAuto)
+		cfg.SingleECalls = true
+		engine, err := newHybridEngine(s.svc, fusedNet(r, nn.Sigmoid, nn.MeanPool, 2), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, engine, ci, img, 0, 2*12*12+1)
+	})
+	t.Run("map under the floor", func(t *testing.T) {
+		// tinyCNN's 2×6×6 map is 72 ciphertexts: planned as a pair, run
+		// as two calls, the first one the batchable activation.
+		small := tinyImage(3)
+		sci, err := s.client.EncryptImages([]*nn.Tensor{small}, 63)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, err := newHybridEngine(s.svc, tinyCNN(9), fusedConfig(PoolAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, engine, sci, small, 2, 2)
+		// With a window the crossover rule would hand to SGXDiv, the pair
+		// still pools the whole map inside: its plan never ran SGXDiv's
+		// window-sum magnitude check.
+		model := nn.NewNetwork(nn.NewConv2D(1, 2, 3, 1, r), nn.NewActivation(nn.ReLU),
+			nn.NewPool2D(nn.MeanPool, 3), &nn.Flatten{}, nn.NewFullyConnected(2*2*2, 3, r))
+		if engine, err = newHybridEngine(s.svc, model, fusedConfig(PoolAuto)); err != nil {
+			t.Fatal(err)
+		}
+		rec := &opRecorder{next: s.svc}
+		engine.SetNonlinearCaller(rec)
+		check(t, engine, sci, small, 2, 2)
+		if len(rec.kinds) != 2 || rec.kinds[0] != OpActivation || rec.kinds[1] != OpPoolFull {
+			t.Errorf("ops %v, want [activation pool_full]", rec.kinds)
+		}
+	})
+	t.Run("packed prefix", func(t *testing.T) {
+		cfg := fusedConfig(PoolAuto)
+		cfg.PackedConv = true
+		engine, err := newHybridEngine(s.svc, fusedNet(r, nn.Sigmoid, nn.MeanPool, 2), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := engine.PackedInfo(); !info.Active {
+			t.Fatalf("packed plan inactive: %s", info.Reason)
+		}
+		pci, err := s.client.EncryptImagePacked(img, 63)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first packed request also generates the rotation keys.
+		if _, err := engine.Infer(pci); err != nil {
+			t.Fatal(err)
+		}
+		ks0 := he.KeySwitchOps()
+		// Slot-packed: the activation and pool_unpack keep one ECALL each.
+		check(t, engine, pci, img, 2, 2)
+		if he.KeySwitchOps() == ks0 {
+			t.Error("packed request performed no key-switch")
+		}
+		// The same engine fuses the pair for a scalar-layout image.
+		check(t, engine, ci, img, 2, 1)
+	})
+}
+
+// TestFusedLayerPredictionIsConservative is the accountant's property on the
+// fused stage: the pool layer carries the stage's one ECALL with the budget
+// the enclave measured on the conv outputs, the plan's prediction for it is
+// the budget entering that ECALL, and prediction ≤ measurement holds in the
+// scalar and the SIMD/lane layout at both parameter tiers.
+func TestFusedLayerPredictionIsConservative(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=8192 inference skipped in short mode")
+	}
+	for _, n := range []int{2048, 8192} {
+		s := newFusedStack(t, n)
+		r := mrand.New(mrand.NewPCG(uint64(n), 5))
+		model := fusedNet(r, nn.Sigmoid, nn.MeanPool, 2)
+		engine, err := newHybridEngine(s.svc, model, fusedConfig(PoolAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := engine.PlanInfo()
+		for _, lanes := range []int{1, 2} {
+			t.Run(fmt.Sprintf("n%d/lanes%d", n, lanes), func(t *testing.T) {
+				imgs := make([]*nn.Tensor, lanes)
+				for i := range imgs {
+					imgs[i] = randomImage(r, 1, 14, 14)
+				}
+				ci, err := s.client.EncryptImages(imgs, 63)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, fr := inferReported(t, engine, ci)
+				if len(fr.Layers) != len(plan) {
+					t.Fatalf("report has %d layers, plan %d", len(fr.Layers), len(plan))
+				}
+				act, pool := layerOfKind(t, fr, "act"), layerOfKind(t, fr, "pool")
+				if !act.Fused || act.Transitions != 0 || act.MeasuredBudgetMinBits != nil {
+					t.Errorf("act layer %+v: want fused, no ECALL, nothing measured", act)
+				}
+				if !pool.Fused || pool.Transitions == 0 || pool.MeasuredBudgetMinBits == nil || pool.PredictedBudgetBits == nil {
+					t.Fatalf("pool layer %+v: want fused with the stage's ECALL, prediction and measurement", pool)
+				}
+				if pool.MeasuredCts != 2*12*12 {
+					t.Errorf("enclave measured %d ciphertexts, want the whole 288-ciphertext conv output", pool.MeasuredCts)
+				}
+				conv := layerOfKind(t, fr, "conv")
+				if *pool.PredictedBudgetBits != *conv.PredictedBudgetBits || *pool.PredictedBudgetBits != plan[pool.Step].PredictedBudgetBits {
+					t.Errorf("fused prediction %.2f bits; want the conv output's %.2f (plan says %.2f)",
+						*pool.PredictedBudgetBits, *conv.PredictedBudgetBits, plan[pool.Step].PredictedBudgetBits)
+				}
+				if *pool.PredictedBudgetBits > *pool.MeasuredBudgetMinBits {
+					t.Errorf("prediction %.2f bits exceeds the measured minimum %.2f: the accountant is unsound on the fused stage",
+						*pool.PredictedBudgetBits, *pool.MeasuredBudgetMinBits)
+				}
+			})
+		}
+	}
+}
+
+// hostileEnvelope hand-builds an ECALL payload: the request header followed
+// by bytes that are not a ciphertext batch, so a reply that names the
+// header's fault proves the enclave refused before decoding or decrypting.
+func hostileEnvelope(req nonlinearRequest) []byte {
+	junk := []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}
+	var buf bytes.Buffer
+	req.writeHeader(&buf, uint32(len(junk)))
+	buf.Write(junk)
+	return buf.Bytes()
+}
+
+// TestUnknownActivationKindIsATypedError: kind 77 used to fall through to
+// the sigmoid arm. It is now refused with ErrActivationKind — by Validate on
+// the untrusted side and by the enclave itself against a hand-built
+// envelope, on the activation op and on both fused pool ops.
+func TestUnknownActivationKindIsATypedError(t *testing.T) {
+	s := newFusedStack(t, 2048)
+	ci, err := s.client.EncryptImages([]*nn.Tensor{tinyImage(1)}, 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom := Geometry{Channels: 1, Height: 4, Width: 4, Window: 2}
+	for _, op := range []NonlinearOp{
+		{Kind: OpActivation, InScale: 63, OutScale: 256, Act: 77},
+		{Kind: OpActivation, InScale: 63, OutScale: 256, Act: -1},
+		{Kind: OpPoolFull, InScale: 63, OutScale: 256, Act: 77, Geometry: geom},
+		{Kind: OpPoolMax, InScale: 63, OutScale: 256, Act: 6, Geometry: geom},
+	} {
+		if _, err := s.svc.Nonlinear(context.Background(), op, ci.CTs[:16]); !errors.Is(err, ErrActivationKind) {
+			t.Errorf("%s with kind %d: error %v, want ErrActivationKind", op.Kind, op.Act, err)
+		}
+	}
+	for _, name := range []string{ECallActivation, ECallPoolFull, ECallPoolMax} {
+		payload := hostileEnvelope(nonlinearRequest{InScale: 63, OutScale: 256, Divisor: 1,
+			Width: 4, Height: 4, Channels: 1, Window: 2, Act: 77})
+		if _, err := s.svc.Enclave().ECall(name, payload); !errors.Is(err, ErrActivationKind) {
+			t.Errorf("ECALL %s with kind 77: error %v, want ErrActivationKind before any decode", name, err)
+		}
+	}
+	// The service default is checked where it applies, too.
+	s.svc.SetActivation(77)
+	defer s.svc.SetActivation(0)
+	op := NonlinearOp{Kind: OpActivation, InScale: 63, OutScale: 256}
+	if _, err := s.svc.Nonlinear(context.Background(), op, ci.CTs[:4]); !errors.Is(err, ErrActivationKind) {
+		t.Errorf("default kind 77: error %v, want ErrActivationKind", err)
+	}
+}
+
+// TestFusedRequestsRefused: a fused request that does not describe its
+// batch, has no scale to dequantize by, or rides on an op with no
+// activation stage never reaches a decryption.
+func TestFusedRequestsRefused(t *testing.T) {
+	s := newFusedStack(t, 2048)
+	ci, err := s.client.EncryptImages([]*nn.Tensor{tinyImage(2)}, 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	geom := Geometry{Channels: 1, Height: 4, Width: 4, Window: 2}
+	fusedOp := NonlinearOp{Kind: OpPoolFull, InScale: 63, OutScale: 256, Act: int(nn.Sigmoid), Geometry: geom}
+	if _, err := s.svc.Nonlinear(ctx, fusedOp, ci.CTs[:16]); err != nil {
+		t.Fatalf("well-formed fused request refused: %v", err)
+	}
+	if _, err := s.svc.Nonlinear(ctx, fusedOp, ci.CTs[:15]); err == nil {
+		t.Error("fused request with 15 ciphertexts for a 1×4×4 map accepted")
+	}
+
+	for _, op := range []NonlinearOp{
+		{Kind: OpPoolFull, OutScale: 256, Act: 1, Geometry: geom},
+		{Kind: OpPoolMax, InScale: 63, Act: 1, Geometry: geom},
+		{Kind: OpSigmoid, InScale: 63, OutScale: 256, Act: 2},
+		{Kind: OpPoolDivide, InScale: 63, OutScale: 256, Divisor: 4, Act: 1},
+		{Kind: OpRefresh, InScale: 63, OutScale: 256, Act: 1},
+		{Kind: OpLanePack, InScale: 63, OutScale: 256, Lanes: 2, Act: 1},
+		{Kind: OpLaneDemux, InScale: 63, OutScale: 256, Lanes: 2, Act: 1},
+		{Kind: OpPoolUnpack, InScale: 63, OutScale: 256, Divisor: 4, Lanes: 4, Act: 1, Geometry: geom},
+	} {
+		if err := op.Validate(); err == nil {
+			t.Errorf("%s with Act %d, scales %d/%d passed Validate", op.Kind, op.Act, op.InScale, op.OutScale)
+		}
+		if _, err := s.svc.Nonlinear(ctx, op, ci.CTs[:16]); err == nil {
+			t.Errorf("%s with Act %d, scales %d/%d crossed the boundary", op.Kind, op.Act, op.InScale, op.OutScale)
+		}
+	}
+
+	// NonlinearOp.request turns a zero scale into 1, so the enclave's own
+	// check needs a hand-built envelope; same for a geometry whose product
+	// would wrap.
+	for name, req := range map[string]nonlinearRequest{
+		"zero in-scale":  {OutScale: 256, Divisor: 1, Width: 4, Height: 4, Channels: 1, Window: 2, Act: 1},
+		"zero out-scale": {InScale: 63, Divisor: 1, Width: 4, Height: 4, Channels: 1, Window: 2, Act: 1},
+		"wrapping map":   {InScale: 63, OutScale: 256, Divisor: 1, Width: 1 << 31, Height: 1 << 31, Channels: 4, Window: 1, Act: 1},
+	} {
+		_, err := s.svc.Enclave().ECall(ECallPoolFull, hostileEnvelope(req))
+		if err == nil || bytes.Contains([]byte(err.Error()), []byte("batch")) {
+			t.Errorf("%s: error %v, want a refusal naming the envelope before the batch is decoded", name, err)
+		}
+	}
+	if _, err := s.svc.Enclave().ECall(ECallSigmoid, hostileEnvelope(nonlinearRequest{OutScale: 256, Divisor: 1})); err == nil {
+		t.Error("sigmoid ECALL accepted a zero in-scale")
+	}
+}
+
+// A model file can carry any integer as an activation kind; the planner
+// refuses it with the same typed error instead of planning a sigmoid.
+func TestPlannerRejectsUnknownActivation(t *testing.T) {
+	s := newFusedStack(t, 2048)
+	r := mrand.New(mrand.NewPCG(1, 2))
+	model := fusedNet(r, nn.ActKind(9), nn.MeanPool, 2)
+	if _, err := newHybridEngine(s.svc, model, fusedConfig(PoolAuto)); !errors.Is(err, ErrActivationKind) {
+		t.Fatalf("planner error %v, want ErrActivationKind", err)
+	}
+}

@@ -210,10 +210,12 @@ type nonlinearRequest struct {
 	// SIMD selects slot-packed operation: the enclave decodes every CRT
 	// slot of each ciphertext instead of the constant coefficient (§VIII).
 	SIMD uint32
-	// Act selects the activation kind for activation calls (nn.ActKind
-	// values; 0 falls back to the enclave's configured default). Carrying
-	// the kind in the request keeps concurrent inferences with different
-	// activations from racing on enclave state.
+	// Act selects the activation kind (nn.ActKind values): on activation
+	// calls 0 falls back to the enclave's configured default, on whole-map
+	// pooling calls non-zero makes the enclave apply that activation to the
+	// decrypted map before pooling it. Carrying the kind in the request
+	// keeps concurrent inferences with different activations from racing on
+	// enclave state.
 	Act uint32
 	// Lanes is the lane count for lane pack/demux calls: how many scalar
 	// ciphertext groups map onto the slots of each packed ciphertext.

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"hesgx/internal/he"
+	"hesgx/internal/nn"
 )
 
 // OpKind identifies one of the enclave's non-linear operations. It replaces
@@ -24,10 +26,14 @@ const (
 	// Divisor — the enclave half of the SGXDiv pooling strategy (§VI-D).
 	OpPoolDivide
 	// OpPoolFull mean-pools a whole feature map inside the enclave
-	// ("SGXPool", §VI-D). Requires Geometry.
+	// ("SGXPool", §VI-D). Requires Geometry. With NonlinearOp.Act set it is a
+	// fused enclave stage: the batch is a linear layer's output, and the
+	// enclave applies that activation (InScale → OutScale) to the decrypted
+	// integers before pooling them — the activation ECALL in front of the
+	// pool, without its boundary crossing or its re-encryption.
 	OpPoolFull
 	// OpPoolMax max-pools inside the enclave (not expressible under HE).
-	// Requires Geometry.
+	// Requires Geometry; Act fuses a preceding activation as for OpPoolFull.
 	OpPoolMax
 	// OpRefresh decrypts and re-encrypts, resetting noise (§IV-E).
 	OpRefresh
@@ -129,8 +135,10 @@ type NonlinearOp struct {
 	InScale, OutScale uint64
 	// Divisor divides decrypted values (OpPoolDivide).
 	Divisor uint64
-	// Act selects the activation for OpActivation (nn.ActKind values;
-	// 0 uses the service default, which SetActivation configures).
+	// Act selects the activation (nn.ActKind values, Sigmoid…Square). On
+	// OpActivation 0 uses the service default, which SetActivation
+	// configures; on OpPoolFull/OpPoolMax non-zero asks for the fused stage
+	// and 0 for plain pooling. No other op applies an activation.
 	Act int
 	// Geometry describes the feature map for OpPoolFull/OpPoolMax.
 	Geometry Geometry
@@ -143,11 +151,35 @@ type NonlinearOp struct {
 	CoeffOut bool
 }
 
+// ErrActivationKind marks an activation kind outside nn.Sigmoid…nn.Square.
+// Both NonlinearOp.Validate and the enclave refuse one before any
+// ciphertext is decrypted: an unknown kind is an error, never a sigmoid.
+var ErrActivationKind = errors.New("unknown activation kind")
+
+func checkActKind(kind int) error {
+	if kind < int(nn.Sigmoid) || kind > int(nn.Square) {
+		return fmt.Errorf("%w %d", ErrActivationKind, kind)
+	}
+	return nil
+}
+
 // Validate checks the op is internally consistent before it crosses the
 // enclave boundary.
 func (op NonlinearOp) Validate() error {
 	if op.CoeffOut && op.Kind != OpPoolUnpack {
 		return fmt.Errorf("core: %s op has no coefficient-packed output", op.Kind)
+	}
+	switch {
+	case op.Act == 0:
+		// No activation stage (or, on OpActivation, the service default).
+	case op.Kind != OpActivation && op.Kind != OpPoolFull && op.Kind != OpPoolMax:
+		return fmt.Errorf("core: %s op applies no activation, but carries kind %d", op.Kind, op.Act)
+	case op.InScale == 0 || op.OutScale == 0:
+		return fmt.Errorf("core: %s op with an activation needs non-zero scales", op.Kind)
+	default:
+		if err := checkActKind(op.Act); err != nil {
+			return fmt.Errorf("core: %s op: %w", op.Kind, err)
+		}
 	}
 	switch op.Kind {
 	case OpSigmoid, OpActivation:

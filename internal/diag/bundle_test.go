@@ -170,3 +170,33 @@ func FuzzReadBundle(f *testing.F) {
 		}
 	})
 }
+
+// A fused activation+pool pair shares one ECALL: the incident report says so
+// on both lines instead of showing an activation that apparently did nothing
+// next to a pool that apparently did everything.
+func TestRenderIncidentFusedPair(t *testing.T) {
+	reports := `[{"trace_id": 7, "name": "request", "wall_ms": 2500, "layers": [
+		{"step": 0, "kind": "conv", "label": "00_conv", "wall_ms": 400},
+		{"step": 1, "kind": "act", "label": "01_act", "wall_ms": 0.01, "fused": true},
+		{"step": 2, "kind": "pool", "label": "02_pool", "wall_ms": 2000, "fused": true,
+		 "transitions": 2, "page_faults": 45379, "measured_budget_min_bits": 21.5}]}]`
+	b, err := ReadBundle(bytes.NewReader(makeBundle(t, [][2]string{{"reports.json", reports}})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := RenderIncident(&out, b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"fused: applied inside 02_pool's ECALL",
+		"page_faults 45379  budget_min 21.50 bits  fused: one ECALL applies 01_act, then pools",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("incident report missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Count(out.String(), "fused:") != 2 {
+		t.Errorf("unfused layers marked fused:\n%s", out.String())
+	}
+}

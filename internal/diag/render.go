@@ -208,7 +208,7 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 		bw.printf(" min_predicted_budget %.2f bits", *v)
 	}
 	bw.printf("\n")
-	for _, l := range worst.Layers {
+	for i, l := range worst.Layers {
 		bw.printf("  %-16s %8.2fms", l.Label, l.WallMS)
 		if l.Transitions > 0 {
 			bw.printf("  transitions %d", l.Transitions)
@@ -218,6 +218,13 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 		}
 		if v := l.MeasuredBudgetMinBits; v != nil {
 			bw.printf("  budget_min %.2f bits", *v)
+		}
+		// A fused act+pool pair shares one ECALL, carried by the pool layer.
+		switch {
+		case l.Fused && l.Kind == "act" && i+1 < len(worst.Layers):
+			bw.printf("  fused: applied inside %s's ECALL", worst.Layers[i+1].Label)
+		case l.Fused && i > 0:
+			bw.printf("  fused: one ECALL applies %s, then pools", worst.Layers[i-1].Label)
 		}
 		bw.printf("\n")
 	}

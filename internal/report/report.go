@@ -50,6 +50,12 @@ type Layer struct {
 	// ciphertext, the FC multiplied it by whole-row operands); false there
 	// means the scalar unpack ran.
 	CoeffTail bool `json:"coeff_tail,omitempty"`
+	// Fused marks the two halves of an activation+pool pair the planner
+	// merged into one enclave stage. The act layer issued no ECALL (no
+	// transitions, no measured budget, ~0 ms); the pool layer behind it
+	// carries the stage's one ECALL, which applied the activation before
+	// pooling, and both predictions are the budget entering that ECALL.
+	Fused bool `json:"fused,omitempty"`
 
 	// Simulated SGX costs summed over the ECALLs this layer triggered.
 	Transitions     int     `json:"transitions,omitempty"`
@@ -197,6 +203,9 @@ func FromTrace(tr *trace.Trace) *FlightReport {
 			}
 			if v, ok := argVal(s, "coeff_tail"); ok {
 				l.CoeffTail = v != 0
+			}
+			if v, ok := argVal(s, "fused"); ok {
+				l.Fused = v != 0
 			}
 			if v, ok := argVal(s, "pred_budget_bits"); ok {
 				p := v

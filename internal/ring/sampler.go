@@ -150,20 +150,25 @@ func (s *Sampler) Uniform(p Poly) {
 // represented mod q. FV secret keys use this distribution.
 func (s *Sampler) Ternary(p Poly) {
 	mod := s.ring.Mod
+	// Each source word is consumed fully: 32 two-bit trials, mapping
+	// 0,1,2 -> -1,0,1 and rejecting 3. Bits left when p is full are dropped.
+	var word uint64
+	left := 0
 	for i := range p.Coeffs {
-		// Draw 2 random bits repeatedly; map 0,1,2 -> -1,0,1, reject 3.
 		for {
-			v := s.src.Uint64() & 3
+			if left == 0 {
+				word, left = s.src.Uint64(), 32
+			}
+			v := word & 3
+			word >>= 2
+			left--
 			if v == 3 {
 				continue
 			}
-			switch v {
-			case 0:
+			if v == 0 {
 				p.Coeffs[i] = mod.Q - 1 // -1
-			case 1:
-				p.Coeffs[i] = 0
-			case 2:
-				p.Coeffs[i] = 1
+			} else {
+				p.Coeffs[i] = v - 1
 			}
 			break
 		}
@@ -172,16 +177,14 @@ func (s *Sampler) Ternary(p Poly) {
 
 // Gaussian fills p with centered discrete Gaussian coefficients of standard
 // deviation DefaultSigma, truncated at ±6σ, via inversion sampling against
-// the precomputed CDF table.
+// the precomputed CDF table. One source word per coefficient: the upper 63
+// bits select the magnitude, bit 0 the sign.
 func (s *Sampler) Gaussian(p Poly) {
 	mod := s.ring.Mod
 	for i := range p.Coeffs {
-		mag := s.sampleHalfGaussian()
-		if mag == 0 {
-			p.Coeffs[i] = 0
-			continue
-		}
-		if s.src.Uint64()&1 == 0 {
+		word := s.src.Uint64()
+		mag := s.halfGaussian(word >> 1)
+		if mag == 0 || word&1 == 0 {
 			p.Coeffs[i] = uint64(mag)
 		} else {
 			p.Coeffs[i] = mod.Q - uint64(mag)
@@ -189,8 +192,8 @@ func (s *Sampler) Gaussian(p Poly) {
 	}
 }
 
-func (s *Sampler) sampleHalfGaussian() int {
-	u := s.src.Uint64() >> 1 // 63-bit uniform
+// halfGaussian inverts the half-Gaussian CDF at the 63-bit uniform u.
+func (s *Sampler) halfGaussian(u uint64) int {
 	for i, c := range s.cdt {
 		if u < c {
 			return i

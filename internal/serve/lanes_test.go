@@ -32,6 +32,13 @@ func newBatchStack(t testing.TB, seed uint64) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newBatchStackFor(t, seed, params, laneModel(seed), core.WithPoolStrategy(core.PoolSGXDiv))
+}
+
+// newBatchStackFor is newBatchStack over given parameters, model and
+// engine plan (options after the default 63/16/256 scales).
+func newBatchStackFor(t testing.TB, seed uint64, params he.Parameters, model *nn.Network, plan ...core.EngineOption) *stack {
+	t.Helper()
 	platform, err := sgx.NewPlatform(sgx.ZeroCost(), sgx.WithJitterSeed(seed))
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +47,7 @@ func newBatchStack(t testing.TB, seed uint64) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := laneModel(seed)
-	engine, err := core.NewEngine(svc, model,
-		core.WithScales(63, 16, 256), core.WithPoolStrategy(core.PoolSGXDiv))
+	engine, err := core.NewEngine(svc, model, append([]core.EngineOption{core.WithScales(63, 16, 256)}, plan...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,5 +329,89 @@ func TestLaneSchedulerConcurrent64(t *testing.T) {
 		laneServed, n, s.Metrics.Counter("serve.lanes.flushes").Value())
 	if laneServed == 0 {
 		t.Fatal("no request was lane-served at 64-way concurrency")
+	}
+}
+
+// TestServiceLanePackedFusedStageCancelledLaneMate drives the lane packer
+// over the default plan, where the shared SIMD pass runs the activation
+// inside the pool ECALL: a lane-mate that gives up while parked in the
+// bucket still rides the pass, and the surviving lanes decrypt to the
+// oracle bit for bit. The pass costs three ECALLs — lane_pack, the fused
+// stage, lane_demux — so a silent fallback to two calls fails.
+func TestServiceLanePackedFusedStageCancelledLaneMate(t *testing.T) {
+	const k = 3
+	r := mrand.New(mrand.NewPCG(91, 92))
+	// A 2×12×12 map behind the conv: 288 ciphertexts, above the fusion floor.
+	model := nn.NewNetwork(
+		nn.NewConv2D(1, 2, 3, 1, r),
+		nn.NewActivation(nn.Sigmoid),
+		nn.NewPool2D(nn.MeanPool, 2),
+		&nn.Flatten{},
+		nn.NewFullyConnected(2*6*6, 4, r),
+	)
+	// The 72-input FC needs the n=2048 tier's headroom (the ledger's
+	// parameters and scales).
+	params, err := core.DefaultSIMDParameters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newBatchStackFor(t, 77, params, model, core.WithScales(63, 8, 256))
+	s := NewService(st.engine, st.svc,
+		WithSchedulerConfig(SchedulerConfig{Workers: 2, QueueDepth: 16}),
+		WithLaneConfig(LaneConfig{MaxLanes: k, MinLanes: 2, Window: time.Minute}))
+	defer s.Close()
+
+	imgs := make([]*nn.Tensor, k)
+	cis := make([]*core.CipherImage, k)
+	for i := range imgs {
+		imgs[i] = nn.NewTensor(1, 14, 14)
+		for j := range imgs[i].Data {
+			imgs[i].Data[j] = r.Float64()
+		}
+		ci, err := st.client.EncryptImages([]*nn.Tensor{imgs[i]}, 63)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cis[i] = ci
+	}
+
+	// Lane 0 parks in the bucket, then its caller cancels.
+	ctx, cancel := context.WithCancel(context.Background())
+	gaveUp := make(chan error, 1)
+	go func() {
+		_, err := s.Infer(ctx, Request{Image: cis[0]})
+		gaveUp <- err
+	}()
+	for s.Metrics.Counter("serve.lanes.requests").Value() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled lane-mate returned %v, want context.Canceled", err)
+	}
+
+	before := st.platform.Snapshot()
+	var wg sync.WaitGroup
+	results := make([]*Result, k)
+	errs := make([]error, k)
+	for i := 1; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = s.Infer(context.Background(), Request{Image: cis[i]})
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < k; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if results[i].Mode != ModeLane || results[i].Lanes != k {
+			t.Fatalf("request %d ran %q over %d lanes, want the shared %d-lane pass", i, results[i].Mode, results[i].Lanes, k)
+		}
+		checkAgainstReference(t, st, imgs[i], results[i])
+	}
+	if got := st.platform.Snapshot().Sub(before).ECalls; got != 3 {
+		t.Fatalf("shared pass cost %d ECALLs, want 3 (lane_pack, fused act+pool, lane_demux)", got)
 	}
 }

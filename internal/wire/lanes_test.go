@@ -34,14 +34,6 @@ func testStackLanes(t *testing.T) (addr string, st *pipelineStack, service *serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := sgx.NewPlatform(sgx.ZeroCost(), sgx.WithJitterSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := core.NewEnclaveService(platform, params, core.WithKeySource(ring.NewSeededSource(31)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := mrand.New(mrand.NewPCG(3, 4))
 	model := nn.NewNetwork(
 		nn.NewConv2D(1, 2, 3, 1, r),
@@ -50,8 +42,24 @@ func testStackLanes(t *testing.T) (addr string, st *pipelineStack, service *serv
 		&nn.Flatten{},
 		nn.NewFullyConnected(2*3*3, 4, r),
 	)
-	engine, err := core.NewEngine(svc, model,
+	return testStackLanesFor(t, params, model,
+		serve.LaneConfig{MaxLanes: 16, MinLanes: 2, Window: 10 * time.Millisecond},
 		core.WithScales(63, 16, 256), core.WithPoolStrategy(core.PoolSGXDiv))
+}
+
+// testStackLanesFor is testStackLanes over given parameters, model, lane
+// policy and engine plan.
+func testStackLanesFor(t *testing.T, params he.Parameters, model *nn.Network, lanes serve.LaneConfig, plan ...core.EngineOption) (addr string, st *pipelineStack, service *serve.Service, shutdown func()) {
+	t.Helper()
+	platform, err := sgx.NewPlatform(sgx.ZeroCost(), sgx.WithJitterSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := core.NewEnclaveService(platform, params, core.WithKeySource(ring.NewSeededSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := core.NewEngine(svc, model, plan...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +70,7 @@ func testStackLanes(t *testing.T) (addr string, st *pipelineStack, service *serv
 	service = serve.NewService(engine, svc,
 		serve.WithMetrics(st.metrics),
 		serve.WithSchedulerConfig(serve.SchedulerConfig{Workers: 2, QueueDepth: 64}),
-		serve.WithLaneConfig(serve.LaneConfig{MaxLanes: 16, MinLanes: 2, Window: 10 * time.Millisecond}))
+		serve.WithLaneConfig(lanes))
 	srv, err := NewServer(svc, engine, slog.New(slog.NewTextHandler(testWriter{t}, nil)),
 		WithMetrics(st.metrics), WithService(service), WithTracer(service.Tracer))
 	if err != nil {
@@ -219,3 +227,92 @@ func TestServerRejectsBadLaneCount(t *testing.T) {
 // Accessors for white-box poking from the same package.
 func clientInner(c *Client) *core.Client { return c.inner }
 func clientConn(c *Client) net.Conn      { return c.conn }
+
+// TestLanePackedFusedStageHungUpLaneMate is the end-to-end run of the
+// default plan behind the lane packer: three vehicles' uploads share one
+// SIMD pass whose activation runs inside the pool ECALL. One vehicle hangs
+// up while parked in the bucket — its lane still rides the pass — and the
+// other two read logits that equal the plaintext integer oracle exactly.
+func TestLanePackedFusedStageHungUpLaneMate(t *testing.T) {
+	// The 72-input FC needs the n=2048 tier's headroom (the ledger's
+	// parameters and scales).
+	params, err := core.DefaultSIMDParameters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mrand.New(mrand.NewPCG(5, 6))
+	// A 2×12×12 map behind the conv: 288 ciphertexts, above the fusion floor.
+	model := nn.NewNetwork(
+		nn.NewConv2D(1, 2, 3, 1, r),
+		nn.NewActivation(nn.Sigmoid),
+		nn.NewPool2D(nn.MeanPool, 2),
+		&nn.Flatten{},
+		nn.NewFullyConnected(2*6*6, 4, r),
+	)
+	const k = 3
+	addr, st, _, shutdown := testStackLanesFor(t, params, model,
+		serve.LaneConfig{MaxLanes: k, MinLanes: 2, Window: time.Minute}, core.WithScales(63, 8, 256))
+	defer shutdown()
+
+	imgs := make([]*nn.Tensor, k)
+	clients := make([]*Client, k)
+	for i := range imgs {
+		imgs[i] = nn.NewTensor(1, 14, 14)
+		for j := range imgs[i].Data {
+			imgs[i].Data[j] = r.Float64()
+		}
+		clients[i] = attestedClient(t, addr)
+	}
+
+	hungUp := make(chan error, 1)
+	go func() {
+		_, err := clients[0].Infer(imgs[0], 63)
+		hungUp <- err
+	}()
+	for st.metrics.Counter("serve.lanes.requests").Value() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	clients[0].Close()
+	if err := <-hungUp; err == nil {
+		t.Fatal("the vehicle that hung up still read a reply")
+	}
+
+	platform := st.svc.Enclave().Platform()
+	before := platform.Snapshot()
+	type reply struct {
+		logits []float64
+		err    error
+	}
+	replies := make([]chan reply, k)
+	for i := 1; i < k; i++ {
+		replies[i] = make(chan reply, 1)
+		go func(i int) {
+			logits, err := clients[i].Infer(imgs[i], 63)
+			replies[i] <- reply{logits, err}
+		}(i)
+	}
+	for i := 1; i < k; i++ {
+		rep := <-replies[i]
+		if rep.err != nil {
+			t.Fatalf("vehicle %d: %v", i, rep.err)
+		}
+		want, err := st.engine.ReferenceForward(imgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.logits) != len(want) {
+			t.Fatalf("vehicle %d: %d logits, want %d", i, len(rep.logits), len(want))
+		}
+		for j, w := range want {
+			if rep.logits[j] != float64(w)/st.engine.OutScale() {
+				t.Fatalf("vehicle %d logit %d: %v != oracle %d/%v", i, j, rep.logits[j], w, st.engine.OutScale())
+			}
+		}
+	}
+	if got := st.metrics.Counter("serve.lanes.packed_requests").Value(); got != k {
+		t.Fatalf("%d requests lane-packed, want all %d in one pass", got, k)
+	}
+	if got := platform.Snapshot().Sub(before).ECalls; got != 3 {
+		t.Fatalf("shared pass cost %d ECALLs, want 3 (lane_pack, fused act+pool, lane_demux)", got)
+	}
+}
