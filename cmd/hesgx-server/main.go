@@ -149,10 +149,11 @@ func run() int {
 		logger.Error("planning engine", "err", err)
 		return 1
 	}
-	// One entry per enclave crossing or linear step of a scalar-layout
-	// request: a fused activation+pool pair reads "01_act+02_pool".
+	// One entry per enclave crossing or linear step of a request: a fused
+	// activation+pool pair reads "01_act+02_pool".
+	steps := engine.PlanInfo()
 	var plan []string
-	for _, step := range engine.PlanInfo() {
+	for _, step := range steps {
 		if step.Fused && step.Kind == "pool" && len(plan) > 0 {
 			plan[len(plan)-1] += "+" + step.Label
 		} else {
@@ -166,6 +167,10 @@ func run() int {
 				"prefix_steps", info.PrefixSteps,
 				"conv_budget_bits", fmt.Sprintf("%.2f", info.ConvBudgetBits),
 				"pool_budget_bits", fmt.Sprintf("%.2f", info.PoolBudgetBits),
+				// Planned as one crossing: conv rotations → pool_unpack
+				// (activating inside) → tail, for maps at or above the
+				// fusion floor; otherwise activation, then pool_unpack.
+				"one_crossing", steps[info.PrefixSteps-1].Fused,
 				"coeff_tail", info.CoeffTail,
 				"coeff_tail_reason", info.CoeffTailReason,
 				"fc_budget_bits", fmt.Sprintf("%.2f", info.FCBudgetBits))

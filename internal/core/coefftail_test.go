@@ -43,6 +43,23 @@ func layerOfKind(t testing.TB, fr *report.FlightReport, kind string) report.Laye
 	return report.Layer{}
 }
 
+// assertConservative checks the accountant's contract on every layer whose
+// ECALL measured a budget — the plan's prediction is a lower bound — and
+// returns how many layers measured one.
+func assertConservative(t testing.TB, fr *report.FlightReport) (measured int) {
+	t.Helper()
+	for _, l := range fr.Layers {
+		if l.MeasuredBudgetMinBits == nil {
+			continue
+		}
+		measured++
+		if *l.PredictedBudgetBits > *l.MeasuredBudgetMinBits {
+			t.Errorf("layer %s: predicted %.2f bits exceeds measured %.2f", l.Label, *l.PredictedBudgetBits, *l.MeasuredBudgetMinBits)
+		}
+	}
+	return measured
+}
+
 // assertTail checks which tail a packed request's pool and FC layers ran.
 func assertTail(t testing.TB, fr *report.FlightReport, coeff bool, fcIn int) {
 	t.Helper()
@@ -301,8 +318,9 @@ func TestCoeffTailMasksByproducts(t *testing.T) {
 	}
 }
 
-// The static accountant must stay a lower bound on the measured budget of
-// the logits the coefficient tail produces, at both parameter tiers.
+// The static accountant must stay a lower bound on every budget the packed
+// path lets anyone measure — the conv outputs entering the fused pool ECALL
+// and the logits the coefficient tail produces — at both parameter tiers.
 func TestCoeffTailNoisePredictionConservative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size packed CNN test skipped in short mode")
@@ -349,10 +367,22 @@ func TestCoeffTailNoisePredictionConservative(t *testing.T) {
 		if fc := layerOfKind(t, fr, "fc"); fc.PredictedBudgetBits == nil || *fc.PredictedBudgetBits != info.FCBudgetBits {
 			t.Fatalf("n=%d: fc span predicts %v bits, plan says %.2f", n, fc.PredictedBudgetBits, info.FCBudgetBits)
 		}
-		for _, l := range fr.Layers {
-			if l.MeasuredBudgetMinBits != nil && *l.PredictedBudgetBits > *l.MeasuredBudgetMinBits {
-				t.Errorf("n=%d layer %s: predicted %.2f bits exceeds measured %.2f", n, l.Label, *l.PredictedBudgetBits, *l.MeasuredBudgetMinBits)
-			}
+		// The prefix is one crossing: its ECALL measures the conv outputs, so
+		// the conv's and the fused pool's prediction are the same bound, and
+		// both must sit under that one measurement.
+		conv, pool := layerOfKind(t, fr, "conv"), layerOfKind(t, fr, "pool")
+		if !pool.Fused || pool.MeasuredBudgetMinBits == nil || pool.MeasuredCts != 6 {
+			t.Fatalf("n=%d: pool layer %+v: want the fused ECALL measuring the 6 conv outputs", n, pool)
+		}
+		if *conv.PredictedBudgetBits != info.ConvBudgetBits || *pool.PredictedBudgetBits != info.PoolBudgetBits || info.PoolBudgetBits != info.ConvBudgetBits {
+			t.Errorf("n=%d: spans predict conv %.2f / pool %.2f bits, plan says %.2f / %.2f — one bound for both",
+				n, *conv.PredictedBudgetBits, *pool.PredictedBudgetBits, info.ConvBudgetBits, info.PoolBudgetBits)
+		}
+		if *conv.PredictedBudgetBits > *pool.MeasuredBudgetMinBits {
+			t.Errorf("n=%d conv: predicted %.2f bits exceeds the %.2f measured on its outputs", n, *conv.PredictedBudgetBits, *pool.MeasuredBudgetMinBits)
+		}
+		if got := assertConservative(t, fr); got != 1 {
+			t.Errorf("n=%d: %d layers measured a budget, want the one fused ECALL", n, got)
 		}
 		for o, ct := range res.Logits {
 			measured, err := client.NoiseBudget(ct)

@@ -56,7 +56,7 @@ const (
 const EnclaveName = "hesgx-inference-enclave"
 
 // EnclaveVersion feeds the measurement; bump on trusted-code changes.
-const EnclaveVersion = "1.6.0"
+const EnclaveVersion = "1.7.0"
 
 // EnclaveService hosts the trusted half of the framework on an SGX
 // platform: FV key generation and custody, key provisioning via ECDH for
@@ -386,20 +386,19 @@ func (m *budgetMeter) wrap(cts []byte) []byte {
 	return out
 }
 
+// slotDecoder is the decoding half of a slot codec (batch or packed).
+type slotDecoder interface {
+	Decode(pt *he.Plaintext) ([]int64, error)
+}
+
 // decryptVectors decrypts a batch into centered value vectors, recording
-// each ciphertext's measured noise budget into meter. In scalar mode each
-// ciphertext yields one value (its constant coefficient); in SIMD mode each
-// yields its full slot vector (§VIII).
-func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, payload []byte, simd bool, meter *budgetMeter) ([][]int64, error) {
+// each ciphertext's measured noise budget into meter. Without a codec each
+// ciphertext yields one value (its constant coefficient); with one each
+// yields its full slot vector (§VIII) in that codec's slot order.
+func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, payload []byte, codec slotDecoder, meter *budgetMeter) ([][]int64, error) {
 	cts, err := decodeCiphertextBatch(payload, st.params)
 	if err != nil {
 		return nil, err
-	}
-	var codec *encoding.BatchEncoder
-	if simd {
-		if codec, err = st.slotCodec(); err != nil {
-			return nil, fmt.Errorf("SIMD request: %w", err)
-		}
 	}
 	t := st.params.T
 	out := make([][]int64, len(cts))
@@ -409,7 +408,7 @@ func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, paylo
 			return nil, fmt.Errorf("decrypting batch element %d: %w", i, err)
 		}
 		meter.observe(bits)
-		if simd {
+		if codec != nil {
 			slots, err := codec.Decode(pt)
 			if err != nil {
 				return nil, fmt.Errorf("decoding slots of element %d: %w", i, err)
@@ -428,8 +427,11 @@ func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, paylo
 	return out, nil
 }
 
-// encryptVectors re-encrypts value vectors as fresh ciphertexts, matching
-// the mode of decryptVectors.
+// encryptVectors re-encrypts value vectors as fresh ciphertexts: in SIMD
+// mode one vector per slot-packed ciphertext; otherwise vector value i at
+// plaintext coefficient i — one value at the constant coefficient, where
+// scalar decryption reads it, or a whole coefficient-packed map (the caller
+// has checked it holds at most n values).
 func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs [][]int64, simd bool) ([]byte, error) {
 	var codec *encoding.BatchEncoder
 	if simd {
@@ -450,11 +452,14 @@ func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs 
 			}
 			ct, err = keys.enc.Encrypt(pt)
 		} else {
-			r := vec[0] % t
-			if r < 0 {
-				r += t
+			pt := he.NewPlaintext(st.params)
+			for j, v := range vec {
+				if v %= t; v < 0 {
+					v += t
+				}
+				pt.Poly.Coeffs[j] = uint64(v)
 			}
-			ct, err = keys.enc.EncryptScalar(uint64(r))
+			ct, err = keys.enc.Encrypt(pt)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("re-encrypting element %d: %w", i, err)
@@ -478,10 +483,13 @@ func applyActivation(kind nn.ActKind, vals []int64, inScale, outScale float64) {
 type vectorFunc func(vecs [][]int64) ([][]int64, error)
 
 // vectorOp is the one body of those ECALLs (§IV-D): load the keys, parse the
-// envelope, let plan refuse the request before anything is decrypted,
-// decrypt the batch while metering its budgets, run the planned stage on the
-// plaintext, and re-encrypt what it returns.
-func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, plan func(req *nonlinearRequest) (vectorFunc, error)) ([]byte, error) {
+// envelope, let plan refuse the request before anything is decoded or
+// decrypted, decrypt the batch while metering its budgets, run the planned
+// stage on the plaintext, and re-encrypt what it returns. The batch is read
+// as constant coefficients, as CRT slot vectors when the request says SIMD,
+// or — packed, the rotation-packed layout's ECALL — as slot vectors in
+// rotation order.
+func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, packed bool, plan func(req *nonlinearRequest) (vectorFunc, error)) ([]byte, error) {
 	st.touchKeys(ctx)
 	keys, err := st.loadKeys(ctx)
 	if err != nil {
@@ -495,15 +503,25 @@ func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, plan func(req *
 	if err != nil {
 		return nil, err
 	}
+	var codec slotDecoder
+	switch {
+	case packed:
+		codec, err = st.packedCodec()
+	case req.SIMD != 0:
+		codec, err = st.slotCodec()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("slot-encoded request: %w", err)
+	}
 	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, req.SIMD != 0, &meter)
+	vecs, err := st.decryptVectors(ctx, keys, req.CTs, codec, &meter)
 	if err != nil {
 		return nil, err
 	}
 	if vecs, err = compute(vecs); err != nil {
 		return nil, err
 	}
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0)
+	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0 && !packed)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +551,7 @@ func activationStage(kind int, req *nonlinearRequest) (vectorFunc, error) {
 // sigmoid is the §IV-D plaintext computation for the activation layer:
 // decrypt, exact Sigmoid on dequantized values, requantize, re-encrypt.
 func (st *enclaveState) sigmoid(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
 		return activationStage(int(nn.Sigmoid), req)
 	})
 }
@@ -543,7 +561,7 @@ func (st *enclaveState) sigmoid(ctx *sgx.Context, input []byte) ([]byte, error) 
 // §VI-C's point that SGX evaluates diverse activations (ReLU, Tanh, ...)
 // without approximation.
 func (st *enclaveState) activation(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
 		kind := int(req.Act)
 		if kind == 0 {
 			kind = int(st.actKind.Load())
@@ -559,7 +577,7 @@ func (st *enclaveState) activation(ctx *sgx.Context, input []byte) ([]byte, erro
 // the window sums arrive already computed homomorphically outside; the
 // enclave performs only the non-linear division.
 func (st *enclaveState) poolDivide(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
 		if req.Divisor == 0 {
 			return nil, fmt.Errorf("pool divide with zero divisor")
 		}
@@ -603,7 +621,7 @@ func (st *enclaveState) poolMax(ctx *sgx.Context, input []byte) ([]byte, error) 
 // re-encrypted, so one crossing replaces two and only the pooled map is
 // re-encrypted.
 func (st *enclaveState) poolKind(ctx *sgx.Context, input []byte, usesMax bool) ([]byte, error) {
-	return st.vectorOp(ctx, input, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
 		w, h, c, k := int(req.Width), int(req.Height), int(req.Channels), int(req.Window)
 		// The per-dimension cap keeps c·h·w from wrapping on a hostile envelope.
 		if w <= 0 || h <= 0 || c <= 0 || k <= 0 || max(w, h, c) > maxBatchCiphertexts {
@@ -714,129 +732,106 @@ func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) 
 }
 
 // ErrPoolUnpackRequest marks a pool-unpack request the enclave refused
-// before decrypting anything: inconsistent geometry, a batch that does not
-// match the channel count, or a pooled map that does not fit the requested
-// output layout. The untrusted caller built the request, so these are its
-// faults — never a reason to hand back a partial map.
+// before decoding or decrypting anything: inconsistent geometry, an unusable
+// activation stage, a batch that does not match the channel count, or a
+// pooled map that does not fit the requested output layout. The untrusted
+// caller built the request, so these are its faults — never a reason to hand
+// back a partial map.
 var ErrPoolUnpackRequest = errors.New("malformed pool unpack request")
 
 func poolUnpackErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrPoolUnpackRequest, fmt.Sprintf(format, args...))
 }
 
-// poolUnpack finishes the rotation-based packed pooling kernel: each input
-// ciphertext is a slot-packed channel whose slot (k·oy)·stride + k·ox holds
-// the homomorphically computed window sum for output (oy, ox), with
-// stride = req.Lanes (the slot row stride of the packed layout — the
-// original image width). The enclave decrypts with the rotation-aware
-// packed codec, divides every window sum, and re-encrypts the pooled map in
-// channel-major order (the order flatten assumes). With req.CoeffOut the
-// whole map leaves as ONE ciphertext — pooled value i at plaintext
-// coefficient i, the input layout of the engine's coefficient-packed FC
-// kernel — so the boundary is crossed by one public-key encryption instead
-// of C·oh·ow; otherwise it leaves as one scalar ciphertext per value for
-// the scalar flatten/FC tail.
+// poolUnpack is the packed twin of poolFull: each input ciphertext is one
+// slot-packed channel of the feature map itself, value (y, x) at slot
+// y·stride + x, with stride = req.Lanes (the slot row stride of the packed
+// layout — the original image width). The enclave decrypts with the
+// rotation-aware packed codec and gathers the h×w map; a request that
+// carries an activation kind is a fused stage, as on poolKind: the map is
+// the conv output and the activation runs on the decrypted integers first.
+// Every k×k window is then summed and divided in plaintext, and the pooled
+// map is re-encrypted in channel-major order (the order flatten assumes).
+// With req.CoeffOut the whole map leaves as ONE ciphertext — pooled value i
+// at plaintext coefficient i, the input layout of the engine's
+// coefficient-packed FC kernel — so the boundary is crossed by one public-key
+// encryption instead of C·oh·ow; otherwise it leaves as one scalar ciphertext
+// per value for the scalar flatten/FC tail. Everything the envelope can get
+// wrong is refused before the batch is decoded.
 func (st *enclaveState) poolUnpack(ctx *sgx.Context, input []byte) ([]byte, error) {
-	st.touchKeys(ctx)
-	keys, err := st.loadKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req, err := unmarshalNonlinearRequest(input)
-	if err != nil {
-		return nil, err
-	}
-	codec, err := st.packedCodec()
-	if err != nil {
-		return nil, fmt.Errorf("pool unpack request: %w", err)
-	}
-	w, h, c, k, stride := int(req.Width), int(req.Height), int(req.Channels), int(req.Window), int(req.Lanes)
-	if w <= 0 || h <= 0 || c <= 0 || k <= 0 {
-		return nil, poolUnpackErr("geometry %dx%dx%d window %d invalid", c, h, w, k)
-	}
-	if h%k != 0 || w%k != 0 {
-		return nil, poolUnpackErr("window %d does not divide %dx%d", k, h, w)
-	}
-	if stride < w {
-		return nil, poolUnpackErr("slot stride %d below map width %d", stride, w)
-	}
-	if req.Divisor == 0 {
-		return nil, poolUnpackErr("zero divisor")
-	}
-	oh, ow := h/k, w/k
-	// All window sums must live in row 0 of the packed layout: rotations
-	// never mix the two rows, so the furthest output slot bounds the map.
-	if maxSlot := (k*(oh-1))*stride + k*(ow-1); maxSlot >= codec.RowLen() {
-		return nil, poolUnpackErr("slot %d exceeds row length %d", maxSlot, codec.RowLen())
-	}
-	coeffOut := req.CoeffOut != 0
-	// oh, ow < row length here, so oh·ow cannot overflow; dividing keeps a
-	// hostile channel count from wrapping the product.
-	if coeffOut && c > st.params.N/(oh*ow) {
-		return nil, poolUnpackErr("pooled map %dx%dx%d exceeds %d plaintext coefficients", c, oh, ow, st.params.N)
-	}
-	cts, err := decodeCiphertextBatch(req.CTs, st.params)
-	if err != nil {
-		return nil, err
-	}
-	if len(cts) != c {
-		return nil, poolUnpackErr("batch %d != %d channels", len(cts), c)
-	}
-	var meter budgetMeter
-	d := int64(req.Divisor)
-	pooled := make([]int64, c*oh*ow)
-	for ch, ct := range cts {
-		pt, bits, err := keys.dec.DecryptWithBudget(ct)
-		if err != nil {
-			return nil, fmt.Errorf("pool unpack decrypt channel %d: %w", ch, err)
+	return st.vectorOp(ctx, input, true, func(req *nonlinearRequest) (vectorFunc, error) {
+		w, h, c, k, stride := int(req.Width), int(req.Height), int(req.Channels), int(req.Window), int(req.Lanes)
+		if w <= 0 || h <= 0 || c <= 0 || k <= 0 {
+			return nil, poolUnpackErr("geometry %dx%dx%d window %d invalid", c, h, w, k)
 		}
-		meter.observe(bits)
-		slots, err := codec.Decode(pt)
-		if err != nil {
-			return nil, fmt.Errorf("pool unpack decode channel %d: %w", ch, err)
+		if h%k != 0 || w%k != 0 {
+			return nil, poolUnpackErr("window %d does not divide %dx%d", k, h, w)
 		}
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				pooled[(ch*oh+oy)*ow+ox] = divRound(slots[(k*oy)*stride+k*ox], d)
+		if stride < w {
+			return nil, poolUnpackErr("slot stride %d below map width %d", stride, w)
+		}
+		if req.Divisor == 0 {
+			return nil, poolUnpackErr("zero divisor")
+		}
+		// The whole map must live in row 0 of the packed layout, n/2 slots
+		// (the conv's rotations never mix the two rows). Capping h and stride
+		// by the row length first keeps the furthest slot's product from
+		// wrapping.
+		if rowLen := st.params.N / 2; h > rowLen || stride > rowLen || (h-1)*stride+(w-1) >= rowLen {
+			return nil, poolUnpackErr("%dx%d map at slot stride %d exceeds row length %d", h, w, stride, rowLen)
+		}
+		oh, ow := h/k, w/k
+		coeffOut := req.CoeffOut != 0
+		// oh, ow < row length here, so oh·ow cannot overflow; dividing keeps
+		// a hostile channel count from wrapping the product.
+		if coeffOut && c > st.params.N/(oh*ow) {
+			return nil, poolUnpackErr("pooled map %dx%dx%d exceeds %d plaintext coefficients", c, oh, ow, st.params.N)
+		}
+		var activate vectorFunc
+		if req.Act != 0 {
+			var err error
+			if activate, err = activationStage(int(req.Act), req); err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrPoolUnpackRequest, err)
 			}
 		}
-		ctx.Touch(st.params.N * 8 * 2)
-	}
-	var enc []byte
-	if coeffOut {
-		enc, err = st.encryptCoefficients(ctx, keys, pooled)
-	} else {
-		vecs := make([][]int64, len(pooled))
-		for i := range pooled {
-			vecs[i] = pooled[i : i+1]
+		// A batch opens with its ciphertext count: compared before any is
+		// decoded.
+		if len(req.CTs) < 4 || int(leU32(req.CTs)) != c {
+			return nil, poolUnpackErr("batch does not hold one ciphertext for each of %d channels", c)
 		}
-		enc, err = st.encryptVectors(ctx, keys, vecs, false)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
-}
-
-// encryptCoefficients re-encrypts vals as one fresh ciphertext whose
-// plaintext carries vals[i] (reduced mod t) at coefficient i; the caller
-// has checked len(vals) ≤ n.
-func (st *enclaveState) encryptCoefficients(ctx *sgx.Context, keys *loadedKeys, vals []int64) ([]byte, error) {
-	t := int64(st.params.T)
-	pt := he.NewPlaintext(st.params)
-	for i, v := range vals {
-		r := v % t
-		if r < 0 {
-			r += t
-		}
-		pt.Poly.Coeffs[i] = uint64(r)
-	}
-	ct, err := keys.enc.Encrypt(pt)
-	if err != nil {
-		return nil, fmt.Errorf("re-encrypting coefficient-packed map: %w", err)
-	}
-	ctx.Touch(st.params.N * 8 * 2)
-	return encodeCiphertextBatch([]*he.Ciphertext{ct})
+		d := int64(req.Divisor)
+		return func(vecs [][]int64) ([][]int64, error) {
+			pooled := make([]int64, 0, c*oh*ow)
+			fmap := make([]int64, h*w) // one channel's map, row-major
+			for _, slots := range vecs {
+				for y := 0; y < h; y++ {
+					copy(fmap[y*w:(y+1)*w], slots[y*stride:])
+				}
+				if activate != nil {
+					activate([][]int64{fmap}) // element-wise and in place: it cannot fail
+				}
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						var sum int64
+						for ky := 0; ky < k; ky++ {
+							for kx := 0; kx < k; kx++ {
+								sum += fmap[(oy*k+ky)*w+ox*k+kx]
+							}
+						}
+						pooled = append(pooled, divRound(sum, d))
+					}
+				}
+			}
+			if coeffOut {
+				return [][]int64{pooled}, nil
+			}
+			out := make([][]int64, len(pooled))
+			for i := range pooled {
+				out[i] = pooled[i : i+1]
+			}
+			return out, nil
+		}, nil
+	})
 }
 
 // galoisKeys generates rotation key-switch keys inside the enclave for a

@@ -37,17 +37,20 @@ const (
 	PoolSGXPool
 )
 
-// fusedStageMinCiphertexts is the smallest feature map, in ciphertexts, over
-// which a planned act+pool pair shares one ECALL; a smaller map keeps the
-// two-call sequence. It is scope, not a crossover: the arithmetic favours
-// fusing at every size. The floor sits where the serving batcher
+// fusedStageMinValues is the smallest feature map, in values, over which a
+// planned act+pool pair shares one ECALL; a smaller map keeps the two-call
+// sequence. One rule for every layout: a scalar or lane map holds one value
+// per ciphertext, a slot-packed map c·h·w values in c ciphertexts. It is
+// scope, not a crossover: the arithmetic favours fusing at every size. The
+// floor sits where the serving batcher
 // (serve.DefaultBatcherConfig().MaxBatch) stops coalescing element-wise
 // activation batches across concurrent requests and routes them direct, so
-// fusing at or above it forfeits nothing the batcher would have shared,
-// while below it the activation stays the batchable call the serving tests
-// and the benchmark's toy-model trace (a core.enclave.sigmoid span on a
-// 72-ciphertext map) expect under the default plan.
-const fusedStageMinCiphertexts = 256
+// fusing a scalar map at or above it forfeits nothing the batcher would have
+// shared, while below it the activation stays the batchable call the serving
+// tests and the benchmark's toy-model trace (a core.enclave.sigmoid span on a
+// 72-value map, on the packed workloads too) expect under the default plan.
+// Remove it when the benchmark test may change.
+const fusedStageMinValues = 256
 
 // PoolCrossoverWindow is the window size at which SGXDiv overtakes SGXPool
 // in §VI-D: "choose SGXPool when the window size is less than 3 and select
@@ -103,13 +106,13 @@ type Config struct {
 	Workers int
 	// PackedConv enables the rotation-keyed packed execution prefix for
 	// images encrypted with Client.EncryptImagePacked: whole feature maps
-	// live in one ciphertext per channel, convolution and pooling run as
-	// hoisted Galois rotations, and the enclave's pool-unpack ECALL rejoins
-	// the scalar plan. Requires a batching-capable plaintext modulus and a
-	// conv → act → pool model prefix with enough noise budget for the
-	// key-switched path; when any requirement fails the engine records the
-	// reason (PackedInfo) and packed images are rejected, while scalar
-	// images always keep the scalar layout.
+	// live in one ciphertext per channel, convolution runs as hoisted Galois
+	// rotations, and the enclave's pool-unpack ECALL activates and pools the
+	// map in plaintext and rejoins the scalar plan. Requires a
+	// batching-capable plaintext modulus and a conv → act → pool model prefix
+	// with enough noise budget for the key-switched path; when any
+	// requirement fails the engine records the reason (PackedInfo) and packed
+	// images are rejected, while scalar images always keep the scalar layout.
 	PackedConv bool
 }
 
@@ -160,13 +163,13 @@ type planStep struct {
 	pool   nn.PoolKind
 
 	// fused marks the two halves of an enclave stage the planner merged
-	// into one ECALL (scalar and lane layouts; the rotation-packed prefix
-	// keeps its own kernels). The act step issues no ECALL; the pool step
-	// behind it sends the whole pre-activation map with act and actInScale
-	// next to its geometry, and the enclave activates, then pools, the
-	// decrypted integers. Exactness needs no new check: the planner already
-	// bounds the activation's output below t/2, so the mod-t reduction the
-	// skipped re-encryption would have applied is the identity.
+	// into one ECALL, in every layout. The act step issues no ECALL; the pool
+	// step behind it sends the whole pre-activation map (as pool_full,
+	// pool_max or, slot-packed, pool_unpack) with act and actInScale next to
+	// its geometry, and the enclave activates, then pools, the decrypted
+	// integers. Exactness needs no new check: the planner already bounds the
+	// activation's output below t/2, so the mod-t reduction the skipped
+	// re-encryption would have applied is the identity.
 	fused      bool
 	actInScale uint64
 }
@@ -349,10 +352,12 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 // reporting: its position, kind, metric label, and the static accountant's
 // predicted remaining noise budget (see planStep.predBudgetBits for which
 // ciphertexts the prediction describes). PackedBudgetBits is set on the
-// steps whose prediction differs for slot-packed images (the rotation-keyed
-// prefix and the coefficient-tail FC) when a packed plan is active. Fused
-// marks both halves of an activation+pool pair that shares one ECALL: the
-// act step issues none, the pool step's ECALL applies the activation first.
+// steps whose prediction differs for slot-packed images when a packed plan is
+// active: the rotation-keyed conv's outputs (on the conv and on the act they
+// enter), the ciphertexts entering pool_unpack (see PackedInfo.PoolBudgetBits)
+// and the coefficient-tail FC's outputs. Fused marks both halves of an
+// activation+pool pair that shares one ECALL: the act step issues none, the
+// pool step's ECALL applies the activation first.
 type PlanStepInfo struct {
 	Step                int      `json:"step"`
 	Kind                string   `json:"kind"`
@@ -575,7 +580,7 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: step %d: %w", i, err)
 		}
-		packedStep := img.Packed && i < packedPrefix(e.packed)
+		packedStep := img.Packed && i < e.packed.prefix // a packed image implies a plan
 		// tailStep marks the two steps of a packed request whose kernel the
 		// plan's tail decision selects: the prefix pool (pool-unpack's
 		// output layout) and an FC right behind the flatten that follows it.
@@ -596,10 +601,13 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		if tailStep {
 			span.Arg("coeff_tail", b2f(coeffStep))
 		}
-		// The packed prefix keeps its own act and pool-unpack ECALLs. Both
-		// halves of a pair see the same batch (a fused activation passes it
-		// on untouched), so they agree on the floor.
-		fusedStep := s.fused && !packedStep && len(cts) >= fusedStageMinCiphertexts
+		// Both halves of a pair see the same map (a fused activation passes
+		// it on untouched), so they agree on the floor.
+		mapValues := len(cts)
+		if packedStep {
+			mapValues *= h * w // one ciphertext per channel
+		}
+		fusedStep := s.fused && mapValues >= fusedStageMinValues
 		if fusedStep {
 			span.Arg("fused", 1)
 		}
@@ -623,18 +631,18 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 				}
 				scale *= float64(e.cfg.WeightScale)
 			case stepAct:
-				// Packed feature maps go through the element-wise SIMD
+				// A fused activation passes the map on untouched: the pool
+				// step behind it applies it inside its own ECALL. Otherwise
+				// packed feature maps go through the element-wise SIMD
 				// enclave path: a fixed slot permutation commutes with
-				// element-wise activation, so the batch codec applies. A
-				// fused activation passes the map on untouched: the pool
-				// step behind it applies it inside its own ECALL.
+				// element-wise activation, so the batch codec applies.
 				if !fusedStep {
 					cts, err = e.runActivation(lctx, s, cts, simd || packedStep)
 				}
 				scale = float64(e.cfg.ActScale)
 			case stepPool:
 				if packedStep {
-					cts, h, w, err = e.runPackedPool(lctx, s, cts, c, h, w, stride, gk)
+					cts, h, w, err = e.runPackedPool(lctx, s, cts, c, h, w, stride, fusedStep)
 				} else {
 					cts, h, w, err = e.runPool(lctx, s, cts, c, h, w, simd, fusedStep)
 				}
@@ -668,8 +676,8 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		if limbMuls > 0 || crtExtends > 0 {
 			span.Arg("limb_muls", float64(limbMuls)).Arg("crt_extends", float64(crtExtends))
 		}
-		// Rotation key-switch activity: non-zero only on packed-prefix
-		// steps. Same approximate attribution under concurrency as above.
+		// Rotation key-switch activity: non-zero only on the packed conv.
+		// Same approximate attribution under concurrency as above.
 		ks1, hr1 := he.KeySwitchOps(), he.HoistedRotations()
 		ksOps, hoisted := ks1-ks0, hr1-hr0
 		if ksOps > 0 {

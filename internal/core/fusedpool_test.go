@@ -7,6 +7,7 @@ import (
 	"fmt"
 	mrand "math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"hesgx/internal/he"
@@ -158,8 +159,8 @@ func (o *opRecorder) Nonlinear(ctx context.Context, op NonlinearOp, cts []*he.Ci
 
 // TestFusionOnlyWhereThePlanSaysSo pins every sequence that must keep its
 // own ECALLs: an activation feeding a linear layer, a pool behind a linear
-// layer, the per-value control group, a map under the fusion floor, and the
-// rotation-packed prefix.
+// layer, the per-value control group and a map under the fusion floor — and
+// that the rotation-packed prefix follows the same plan and the same floor.
 func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 	s := newFusedStack(t, 2048)
 	r := mrand.New(mrand.NewPCG(17, 71))
@@ -250,31 +251,87 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 		}
 	})
 	t.Run("packed prefix", func(t *testing.T) {
-		cfg := fusedConfig(PoolAuto)
-		cfg.PackedConv = true
-		engine, err := newHybridEngine(s.svc, fusedNet(r, nn.Sigmoid, nn.MeanPool, 2), cfg)
-		if err != nil {
-			t.Fatal(err)
+		// packedEngine plans model with PackedConv and runs one request so
+		// the rotation keys exist before any ECALL is counted.
+		packedEngine := func(model *nn.Network, pool PoolStrategy, img *nn.Tensor) (*HybridEngine, *CipherImage, *opRecorder) {
+			t.Helper()
+			cfg := fusedConfig(pool)
+			cfg.PackedConv = true
+			engine, err := newHybridEngine(s.svc, model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := engine.PackedInfo(); !info.Active {
+				t.Fatalf("packed plan inactive: %s", info.Reason)
+			}
+			pci, err := s.client.EncryptImagePacked(img, 63)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engine.Infer(pci); err != nil {
+				t.Fatal(err)
+			}
+			rec := &opRecorder{next: s.svc}
+			engine.SetNonlinearCaller(rec)
+			return engine, pci, rec
 		}
-		if info := engine.PackedInfo(); !info.Active {
-			t.Fatalf("packed plan inactive: %s", info.Reason)
+		twoCalls := func(rec *opRecorder) bool {
+			return len(rec.kinds) == 2 && rec.kinds[0] == OpSigmoid && rec.kinds[1] == OpPoolUnpack
 		}
-		pci, err := s.client.EncryptImagePacked(img, 63)
-		if err != nil {
-			t.Fatal(err)
+		// conservative: on whichever ciphertexts each of the two ECALLs
+		// measured, the plan's packed prediction is a lower bound.
+		conservative := func(engine *HybridEngine, pci *CipherImage) {
+			t.Helper()
+			_, fr := inferReported(t, engine, pci)
+			if n := assertConservative(t, fr); n != 2 {
+				t.Errorf("%d layers measured a budget, want 2", n)
+			}
 		}
-		// The first packed request also generates the rotation keys.
-		if _, err := engine.Infer(pci); err != nil {
-			t.Fatal(err)
-		}
+
+		// At the floor (2×12×12 = 288 values in 2 ciphertexts): conv
+		// rotations, ONE crossing, FC tail.
+		engine, pci, rec := packedEngine(fusedNet(r, nn.Sigmoid, nn.MeanPool, 2), PoolAuto, img)
 		ks0 := he.KeySwitchOps()
-		// Slot-packed: the activation and pool_unpack keep one ECALL each.
-		check(t, engine, pci, img, 2, 2)
-		if he.KeySwitchOps() == ks0 {
-			t.Error("packed request performed no key-switch")
+		check(t, engine, pci, img, 2, 1)
+		if len(rec.kinds) != 1 || rec.kinds[0] != OpPoolUnpack {
+			t.Errorf("ops %v, want [pool_unpack]", rec.kinds)
+		}
+		// Only the conv rotates: InC·(K²−1) key-switches, none for the pool.
+		if got := he.KeySwitchOps() - ks0; got != 1*(3*3-1) {
+			t.Errorf("%d key-switches, want the conv's 8", got)
+		}
+		_, fr := inferReported(t, engine, pci)
+		conv, act, pool := layerOfKind(t, fr, "conv"), layerOfKind(t, fr, "act"), layerOfKind(t, fr, "pool")
+		if conv.KeySwitchOps != 8 || pool.KeySwitchOps != 0 || pool.HoistedRotations != 0 {
+			t.Errorf("key-switches conv %d pool %d (hoisted %d), want 8 and none", conv.KeySwitchOps, pool.KeySwitchOps, pool.HoistedRotations)
+		}
+		if !act.Fused || act.Transitions != 0 || !pool.Fused || pool.Transitions == 0 || pool.MeasuredCts != 2 {
+			t.Errorf("act %+v / pool %+v: want a fused pair whose one ECALL measured the 2 conv outputs", act, pool)
 		}
 		// The same engine fuses the pair for a scalar-layout image.
 		check(t, engine, ci, img, 2, 1)
+
+		// Below it (tinyCNN: 2×6×6 = 72 values) the planned pair runs the
+		// SIMD activation, then pool_unpack without Act.
+		small := tinyImage(3)
+		engine, spci, rec := packedEngine(tinyCNN(9), PoolAuto, small)
+		check(t, engine, spci, small, 2, 2)
+		if !twoCalls(rec) {
+			t.Errorf("ops %v under the floor, want [sigmoid pool_unpack]", rec.kinds)
+		}
+		conservative(engine, spci)
+		// An explicit strategy never fuses, and still sums no window under HE.
+		engine, pci, rec = packedEngine(fusedNet(r, nn.Sigmoid, nn.MeanPool, 2), PoolSGXDiv, img)
+		ks0 = he.KeySwitchOps()
+		check(t, engine, pci, img, 0, 2)
+		if !twoCalls(rec) || he.KeySwitchOps()-ks0 != 8 {
+			t.Errorf("explicit SGXDiv: ops %v, %d key-switches; want [sigmoid pool_unpack] and 8", rec.kinds, he.KeySwitchOps()-ks0)
+		}
+		// Unplanned, pool_unpack is predicted at a fresh ciphertext's budget.
+		if info := engine.PackedInfo(); info.PoolBudgetBits <= info.ConvBudgetBits {
+			t.Errorf("unfused plan predicts %.2f bits into pool_unpack, conv %.2f: want the fresh bound above it", info.PoolBudgetBits, info.ConvBudgetBits)
+		}
+		conservative(engine, pci)
 	})
 }
 
@@ -384,7 +441,8 @@ func TestUnknownActivationKindIsATypedError(t *testing.T) {
 
 // TestFusedRequestsRefused: a fused request that does not describe its
 // batch, has no scale to dequantize by, or rides on an op with no
-// activation stage never reaches a decryption.
+// activation stage never reaches a decryption — on pool_full, pool_max and
+// their packed twin pool_unpack alike.
 func TestFusedRequestsRefused(t *testing.T) {
 	s := newFusedStack(t, 2048)
 	ci, err := s.client.EncryptImages([]*nn.Tensor{tinyImage(2)}, 63)
@@ -409,7 +467,7 @@ func TestFusedRequestsRefused(t *testing.T) {
 		{Kind: OpRefresh, InScale: 63, OutScale: 256, Act: 1},
 		{Kind: OpLanePack, InScale: 63, OutScale: 256, Lanes: 2, Act: 1},
 		{Kind: OpLaneDemux, InScale: 63, OutScale: 256, Lanes: 2, Act: 1},
-		{Kind: OpPoolUnpack, InScale: 63, OutScale: 256, Divisor: 4, Lanes: 4, Act: 1, Geometry: geom},
+		{Kind: OpPoolUnpack, OutScale: 256, Divisor: 4, Lanes: 4, Act: 1, Geometry: geom},
 	} {
 		if err := op.Validate(); err == nil {
 			t.Errorf("%s with Act %d, scales %d/%d passed Validate", op.Kind, op.Act, op.InScale, op.OutScale)
@@ -434,6 +492,36 @@ func TestFusedRequestsRefused(t *testing.T) {
 	}
 	if _, err := s.svc.Enclave().ECall(ECallSigmoid, hostileEnvelope(nonlinearRequest{OutScale: 256, Divisor: 1})); err == nil {
 		t.Error("sigmoid ECALL accepted a zero in-scale")
+	}
+
+	// pool_unpack takes the same activation fields and refuses the same
+	// faults, plus those of its own geometry — all of them from the header
+	// alone: the hostile batch behind it claims 2^32−1 ciphertexts and would
+	// fail to decode.
+	unpack := nonlinearRequest{InScale: 63, OutScale: 256, Divisor: 4, Width: 4, Height: 4, Channels: 1, Window: 2, Lanes: 4, Act: 1}
+	with := func(edit func(*nonlinearRequest)) nonlinearRequest {
+		req := unpack
+		edit(&req)
+		return req
+	}
+	for name, tc := range map[string]struct {
+		req  nonlinearRequest
+		want error
+		says string
+	}{
+		"unknown kind":      {with(func(r *nonlinearRequest) { r.Act = 77 }), ErrActivationKind, "kind 77"},
+		"zero in-scale":     {with(func(r *nonlinearRequest) { r.InScale = 0 }), ErrPoolUnpackRequest, "zero scale"},
+		"zero out-scale":    {with(func(r *nonlinearRequest) { r.OutScale = 0 }), ErrPoolUnpackRequest, "zero scale"},
+		"batch != channels": {unpack, ErrPoolUnpackRequest, "batch does not hold"},
+		"coefficients > n":  {with(func(r *nonlinearRequest) { r.Channels, r.CoeffOut = 513, 1 }), ErrPoolUnpackRequest, "plaintext coefficients"},
+		"wrapping channels": {with(func(r *nonlinearRequest) { r.Channels, r.CoeffOut = 1<<31, 1 }), ErrPoolUnpackRequest, "plaintext coefficients"},
+		"map leaves row 0":  {with(func(r *nonlinearRequest) { r.Height, r.Lanes = 34, 32 }), ErrPoolUnpackRequest, "exceeds row length"},
+		"wrapping map":      {with(func(r *nonlinearRequest) { r.Width, r.Height, r.Lanes = 1<<31, 1<<31, 1<<31 }), ErrPoolUnpackRequest, "exceeds row length"},
+	} {
+		_, err := s.svc.Enclave().ECall(ECallPoolUnpack, hostileEnvelope(tc.req))
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("pool_unpack %s: error %v, want %v naming %q before the batch is decoded", name, err, tc.want, tc.says)
+		}
 	}
 }
 

@@ -47,15 +47,16 @@ const (
 	// OpLaneDemux splits slot-packed ciphertexts back into Lanes scalar
 	// groups (lane-major), the reply half of lane-batched serving.
 	OpLaneDemux
-	// OpPoolUnpack finishes the rotation-based packed pooling kernel: the
-	// input is one slot-packed ciphertext per channel whose slot
-	// (Window·oy)·Lanes + Window·ox holds the homomorphically computed
-	// window sum for output position (oy, ox). The enclave decrypts with
-	// the rotation-aware packed codec, divides each sum by Divisor
-	// (round-half-away), and re-encrypts the pooled map in channel-major
-	// order — the order flatten assumes — in one of two layouts: with
-	// CoeffOut, ONE ciphertext whose plaintext coefficient i is pooled
-	// value i (the input of the coefficient-packed FC kernel; needs
+	// OpPoolUnpack is OpPoolFull for the rotation-packed layout: the input is
+	// the feature map itself, one slot-packed ciphertext per channel with
+	// value (y, x) at slot y·Lanes + x. The enclave decrypts with the
+	// rotation-aware packed codec, applies Act (InScale → OutScale) to the
+	// decrypted integers when it is set — the fused stage, as on OpPoolFull —
+	// sums every Window×Window window and divides by Divisor
+	// (round-half-away), all in plaintext, and re-encrypts the pooled map in
+	// channel-major order — the order flatten assumes — in one of two
+	// layouts: with CoeffOut, ONE ciphertext whose plaintext coefficient i is
+	// pooled value i (the input of the coefficient-packed FC kernel; needs
 	// Channels·oh·ow ≤ n); without it, one scalar ciphertext per value for
 	// the scalar FC tail. Lanes carries the slot row stride of the packed
 	// layout (the original image width), not a lane count.
@@ -133,14 +134,15 @@ type NonlinearOp struct {
 	// InScale/OutScale are the fixed-point scales for dequantization and
 	// requantization around the activation.
 	InScale, OutScale uint64
-	// Divisor divides decrypted values (OpPoolDivide).
+	// Divisor divides decrypted values (OpPoolDivide) or plaintext window
+	// sums (OpPoolUnpack).
 	Divisor uint64
 	// Act selects the activation (nn.ActKind values, Sigmoid…Square). On
 	// OpActivation 0 uses the service default, which SetActivation
-	// configures; on OpPoolFull/OpPoolMax non-zero asks for the fused stage
-	// and 0 for plain pooling. No other op applies an activation.
+	// configures; on OpPoolFull/OpPoolMax/OpPoolUnpack non-zero asks for the
+	// fused stage and 0 for plain pooling. No other op applies an activation.
 	Act int
-	// Geometry describes the feature map for OpPoolFull/OpPoolMax.
+	// Geometry describes the feature map for OpPoolFull/OpPoolMax/OpPoolUnpack.
 	Geometry Geometry
 	// Lanes is the lane count for OpLanePack/OpLaneDemux: how many scalar
 	// ciphertext groups share each slot-packed ciphertext.
@@ -172,7 +174,7 @@ func (op NonlinearOp) Validate() error {
 	switch {
 	case op.Act == 0:
 		// No activation stage (or, on OpActivation, the service default).
-	case op.Kind != OpActivation && op.Kind != OpPoolFull && op.Kind != OpPoolMax:
+	case op.Kind != OpActivation && op.Kind != OpPoolFull && op.Kind != OpPoolMax && op.Kind != OpPoolUnpack:
 		return fmt.Errorf("core: %s op applies no activation, but carries kind %d", op.Kind, op.Act)
 	case op.InScale == 0 || op.OutScale == 0:
 		return fmt.Errorf("core: %s op with an activation needs non-zero scales", op.Kind)

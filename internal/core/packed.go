@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hesgx/internal/he"
@@ -24,11 +24,16 @@ import (
 //     accumulation is then K²·InC scalar multiply-adds over whole
 //     ciphertexts. Output (y, x) lands at slot y·W + x — the slot stride
 //     stays the original image width through the prefix.
-//   - Activation: element-wise, so the existing SIMD enclave path applies
-//     unchanged (a fixed slot permutation commutes with element-wise ops).
-//   - Pooling: the k² window offsets are rotations too; the enclave's
-//     pool-unpack ECALL divides the window sums and re-encrypts the pooled
-//     map for the tail of the plan.
+//   - Activation and pooling: ONE enclave crossing. §VI-D sums windows under
+//     HE only when that shrinks the batch that crosses; here the map is C
+//     ciphertexts before and after a rotation-based window sum, so the
+//     crossover always picks the whole map. The pool-unpack ECALL takes the
+//     conv output itself, applies the activation to the decrypted integers,
+//     sums and divides each window in plaintext, and re-encrypts the pooled
+//     map for the tail of the plan. (Below the fusion floor, or under an
+//     explicit pool strategy, the activation keeps its own element-wise SIMD
+//     ECALL — a fixed slot permutation commutes with element-wise ops — and
+//     pool-unpack pools its output.)
 //   - Tail: when the prefix is followed by flatten → FC and the pooled map
 //     fits one plaintext, pool-unpack returns ONE coefficient-packed
 //     ciphertext and the FC runs as one plaintext product per output
@@ -37,9 +42,9 @@ import (
 //
 // The integer arithmetic mod t is identical to the scalar layout's, so the
 // packed pipeline is bit-exact against the scalar oracle; only the
-// ciphertext count and the noise path (key-switch terms instead of
-// per-pixel fresh encryptions, one plaintext product instead of a weighted
-// sum) change.
+// ciphertext count and the noise path (key-switch terms on the conv taps
+// instead of per-pixel fresh encryptions, one plaintext product instead of a
+// weighted sum) change.
 
 // packedPlan records the packed-prefix decision NewHybridEngine makes when
 // Config.PackedConv is set: which leading steps run on slot-packed
@@ -52,13 +57,14 @@ type packedPlan struct {
 	// shared with the scalar step so both paths multiply identical
 	// integers).
 	conv *nn.QuantizedConv
-	// poolK is the mean-pool window of the prefix's pool step.
-	poolK int
 	// baseBits is the Galois key decomposition base for this plan.
 	baseBits int
 	// convBudgetBits/poolBudgetBits are the static accountant's predicted
 	// remaining budgets for the packed path (the scalar plan's predictions
-	// do not apply: rotations add key-switch noise).
+	// do not apply: rotations add key-switch noise): of the conv outputs, and
+	// of the ciphertexts entering pool-unpack — the conv outputs again when
+	// the act+pool pair is planned as one crossing, the activation ECALL's
+	// fresh re-encryptions otherwise.
 	convBudgetBits float64
 	poolBudgetBits float64
 	// coeffTail records the planner's tail decision: pool-unpack emits one
@@ -78,36 +84,19 @@ type packedPlan struct {
 	installed []*he.GaloisKeys
 }
 
-// packedPrefix returns how many leading steps run packed (0 for no plan).
-func packedPrefix(p *packedPlan) int {
-	if p == nil {
-		return 0
-	}
-	return p.prefix
-}
-
 // rotationSteps derives the minimal rotation set for one slot stride: the
-// union of the conv window tap offsets and the pool window offsets, minus
-// the identity. Pool offsets {dy·stride + dx : dy, dx < k} are a subset of
-// the conv tap set whenever k ≤ K, so the paper CNN needs K²−1 keys total.
+// conv window tap offsets minus the identity, K²−1 keys. Nothing else in the
+// prefix rotates — pooling happens on plaintext inside the enclave.
 func (p *packedPlan) rotationSteps(stride int) []int {
-	set := map[int]struct{}{}
+	out := make([]int, 0, p.conv.K*p.conv.K)
 	for ky := 0; ky < p.conv.K; ky++ {
 		for kx := 0; kx < p.conv.K; kx++ {
-			set[ky*stride+kx] = struct{}{}
+			if step := ky*stride + kx; step != 0 && !slices.Contains(out, step) {
+				out = append(out, step)
+			}
 		}
 	}
-	for dy := 0; dy < p.poolK; dy++ {
-		for dx := 0; dx < p.poolK; dx++ {
-			set[dy*stride+dx] = struct{}{}
-		}
-	}
-	delete(set, 0)
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -116,7 +105,7 @@ func (p *packedPlan) rotationSteps(stride int) []int {
 // falling back to the scalar layout. Requirements: a batching-capable
 // plaintext modulus, a [conv, act, pool] prefix with stride-1 convolution
 // and mean pooling, and positive predicted noise budget through the
-// rotation-keyed conv and pool kernels.
+// rotation-keyed conv kernel.
 func planPacked(params he.Parameters, steps []*planStep, slotCapable bool) (*packedPlan, string) {
 	if !slotCapable {
 		return nil, fmt.Sprintf("plaintext modulus %d is not batching-capable (needs prime t ≡ 1 mod 2n)", params.T)
@@ -135,28 +124,24 @@ func planPacked(params he.Parameters, steps []*planStep, slotCapable bool) (*pac
 	baseBits := he.DefaultGaloisBaseBits
 
 	// Packed noise path: every window tap is a rotated (key-switched) copy
-	// of the fresh upload, the conv output is a weighted sum of those
-	// copies plus a bias, and the pool sums k² rotated copies of the fresh
-	// activation output. Both bounds must stay positive or the enclave
-	// would refresh garbage.
+	// of the fresh upload, and the conv output is a weighted sum of those
+	// copies plus a bias. The bound must stay positive or the enclave would
+	// refresh garbage; nothing homomorphic happens between it and the tail.
 	convNoise := params.FreshNoiseBound().KeySwitch(baseBits).
 		WeightedSum(float64(conv.MaxKernelL1()), conv.InC*conv.K*conv.K).AddPlain()
 	if convNoise.Exhausted() {
 		return nil, fmt.Sprintf("packed conv noise bound exhausted (%.1f bits; lower WeightScale)", convNoise.BudgetBits())
 	}
-	k := pool.window
-	poolNoise := params.FreshNoiseBound().KeySwitch(baseBits).WeightedSum(float64(k*k), k*k)
-	if poolNoise.Exhausted() {
-		return nil, fmt.Sprintf("packed pool noise bound exhausted (%.1f bits)", poolNoise.BudgetBits())
-	}
 	p := &packedPlan{
 		prefix:         3,
 		conv:           conv,
-		poolK:          k,
 		baseBits:       baseBits,
 		convBudgetBits: convNoise.BudgetBits(),
-		poolBudgetBits: poolNoise.BudgetBits(),
+		poolBudgetBits: convNoise.BudgetBits(),
 		keys:           map[int]*he.GaloisKeys{},
+	}
+	if !pool.fused {
+		p.poolBudgetBits = params.FreshNoiseBound().BudgetBits()
 	}
 	p.fcBudgetBits, p.coeffTailReason = planCoeffTail(params, steps, p.prefix)
 	p.coeffTail = p.coeffTailReason == ""
@@ -165,9 +150,9 @@ func planPacked(params he.Parameters, steps []*planStep, slotCapable bool) (*pac
 
 // budgetBits returns the packed path's prediction for plan step i when it
 // differs from the scalar plan's (rotations add key-switch noise; the
-// coefficient tail multiplies one fresh ciphertext): the conv output and
-// the activation that refreshes it, the pool sums, and the coefficient-tail
-// FC outputs.
+// coefficient tail multiplies one fresh ciphertext): the conv output, which
+// is also what enters the activation's ECALL, the pool-unpack input, and
+// the coefficient-tail FC outputs.
 func (p *packedPlan) budgetBits(i int) (float64, bool) {
 	switch {
 	case i < p.prefix-1:
@@ -181,11 +166,15 @@ func (p *packedPlan) budgetBits(i int) (float64, bool) {
 }
 
 // PackedInfo reports the engine's packed-execution decision: whether the
-// packed prefix is active, the predicted budgets through its rotation-keyed
-// kernels, and (when inactive) why the planner fell back to scalar layout.
-// For an active prefix it also reports the tail decision: CoeffTail with the
-// predicted budget of the FC outputs, or why pool-unpack keeps emitting
-// scalar ciphertexts.
+// packed prefix is active, the predicted budgets along it, and (when
+// inactive) why the planner fell back to scalar layout. ConvBudgetBits
+// describes the rotation-keyed conv's outputs; PoolBudgetBits the
+// ciphertexts entering the pool-unpack ECALL — those same conv outputs when
+// the plan marks the act+pool pair fused (PlanStepInfo.Fused: one crossing
+// whenever the map holds at least fusedStageMinValues values), the
+// activation ECALL's fresh re-encryptions otherwise. For an active prefix it
+// also reports the tail decision: CoeffTail with the predicted budget of the
+// FC outputs, or why pool-unpack keeps emitting scalar ciphertexts.
 type PackedInfo struct {
 	Active          bool    `json:"active"`
 	Reason          string  `json:"reason,omitempty"`
@@ -215,7 +204,11 @@ func (e *HybridEngine) PackedInfo() PackedInfo {
 
 // InstallGaloisKeys installs an externally generated rotation key set (the
 // wire upload path). The keys must match the engine's parameters; they are
-// consulted before the engine asks the enclave to generate its own.
+// consulted before the engine asks the enclave to generate its own. Every
+// client holds the same enclave-issued secret key, so an upload that an
+// installed set already covers is acknowledged and dropped: retaining it
+// would pin ~21 MB of keys (and as much again in lazily built Shoup tables)
+// per connection for nothing.
 func (e *HybridEngine) InstallGaloisKeys(gk *he.GaloisKeys) error {
 	if e.packed == nil {
 		if e.packedReason != "" {
@@ -229,6 +222,11 @@ func (e *HybridEngine) InstallGaloisKeys(gk *he.GaloisKeys) error {
 	p := e.packed
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for _, have := range p.installed {
+		if have.Covers(gk) {
+			return nil
+		}
+	}
 	p.installed = append(p.installed, gk)
 	// Invalidate the per-stride cache so uploaded keys take effect even if
 	// an enclave-generated set was already resolved for some stride.
@@ -320,38 +318,20 @@ func (e *HybridEngine) runPackedConv(s *planStep, in []*he.Ciphertext, h, w, str
 	return out, oh, ow, nil
 }
 
-// runPackedPool sums each k×k window with rotations and hands the sums to
-// the enclave's pool-unpack ECALL, which divides and re-encrypts the pooled
-// map in channel-major order: as one coefficient-packed ciphertext when the
-// plan chose the coefficient tail, as scalar ciphertexts — the point where
-// the packed prefix rejoins the scalar plan — otherwise.
-func (e *HybridEngine) runPackedPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w, stride int, gk *he.GaloisKeys) ([]*he.Ciphertext, int, int, error) {
+// runPackedPool hands the packed feature map to the enclave's pool-unpack
+// ECALL, which mean-pools it in plaintext — after applying the step's
+// activation when the pair runs fused, in which case the map is the conv
+// output — and re-encrypts the pooled map in channel-major order: as one
+// coefficient-packed ciphertext when the plan chose the coefficient tail, as
+// scalar ciphertexts — the point where the packed prefix rejoins the scalar
+// plan — otherwise.
+func (e *HybridEngine) runPackedPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w, stride int, fused bool) ([]*he.Ciphertext, int, int, error) {
 	k := s.window
 	if len(in) != c {
 		return nil, 0, 0, fmt.Errorf("packed pool input %d cts != %d channels", len(in), c)
 	}
 	if h%k != 0 || w%k != 0 {
 		return nil, 0, 0, fmt.Errorf("pool window %d does not divide %dx%d", k, h, w)
-	}
-	offs := make([]int, 0, k*k)
-	for dy := 0; dy < k; dy++ {
-		for dx := 0; dx < k; dx++ {
-			offs = append(offs, dy*stride+dx)
-		}
-	}
-	sums := make([]*he.Ciphertext, c)
-	for ch, ct := range in {
-		rots, err := e.eval.RotateHoisted(ct, offs, gk)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("packed pool channel %d: %w", ch, err)
-		}
-		acc := rots[0]
-		for _, r := range rots[1:] {
-			if acc, err = e.eval.Add(acc, r); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-		sums[ch] = acc
 	}
 	op := NonlinearOp{
 		Kind:     OpPoolUnpack,
@@ -360,7 +340,10 @@ func (e *HybridEngine) runPackedPool(ctx context.Context, s *planStep, in []*he.
 		Lanes:    stride,
 		CoeffOut: e.packed.coeffTail,
 	}
-	out, err := e.caller.Nonlinear(ctx, op, sums)
+	if fused {
+		op.Act, op.InScale, op.OutScale = int(s.act), s.actInScale, e.cfg.ActScale
+	}
+	out, err := e.caller.Nonlinear(ctx, op, in)
 	if err != nil {
 		return nil, 0, 0, err
 	}

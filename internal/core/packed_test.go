@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	mrand "math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"hesgx/internal/he"
@@ -40,8 +44,8 @@ func packedTestService(t testing.TB, seed uint64) *EnclaveService {
 // The headline equivalence: the full paper CNN over a slot-packed 28×28
 // image must produce logits bit-identical to the plaintext integer oracle
 // (and hence to the scalar-layout pipeline, which other tests pin to the
-// same oracle) — rotations, hoisting, and the pool-unpack ECALL change the
-// cost, never the integers.
+// same oracle) — rotations, hoisting, and the one pool-unpack ECALL that
+// activates and pools the conv map change the cost, never the integers.
 func TestPackedPaperCNNMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size packed CNN test skipped in short mode")
@@ -73,17 +77,29 @@ func TestPackedPaperCNNMatchesScalar(t *testing.T) {
 	if len(ci.CTs) != ci.Channels {
 		t.Fatalf("packed upload has %d cts for %d channels", len(ci.CTs), ci.Channels)
 	}
+	// The first packed request also generates the rotation keys.
+	if _, err := engine.Infer(ci); err != nil {
+		t.Fatal(err)
+	}
+	rec := &opRecorder{next: svc}
+	engine.SetNonlinearCaller(rec)
 	ks0 := he.KeySwitchOps()
 	hr0 := he.HoistedRotations()
 	res, fr := inferReported(t, engine, ci)
 	// The whole pool → flatten → FC boundary must have been one
 	// coefficient-packed ciphertext, not a silent scalar unpack.
 	assertTail(t, fr, true, 864)
-	// The packed path must actually have run: 24 conv rotations plus 3
-	// pool rotations per channel, most of them amortized on a hoisted
-	// decomposition.
-	if got := he.KeySwitchOps() - ks0; got == 0 {
-		t.Fatal("no key-switch ops recorded; packed path silently fell back")
+	// The fused stage must have run: the 6×24×24 map is far above the floor,
+	// so the request crosses into the enclave exactly once.
+	act, pool := layerOfKind(t, fr, "act"), layerOfKind(t, fr, "pool")
+	if len(rec.kinds) != 1 || rec.kinds[0] != OpPoolUnpack || !act.Fused || !pool.Fused || act.Transitions != 0 {
+		t.Fatalf("ops %v, act fused=%v (%d transitions), pool fused=%v: want one fused pool_unpack ECALL",
+			rec.kinds, act.Fused, act.Transitions, pool.Fused)
+	}
+	// The packed path must actually have run: the conv's 24 rotations, all
+	// but one amortized on a hoisted decomposition — and none for the pool.
+	if got := he.KeySwitchOps() - ks0; got != 24 {
+		t.Fatalf("%d key-switch ops recorded, want the conv's 24", got)
 	}
 	if got := he.HoistedRotations() - hr0; got == 0 {
 		t.Fatal("no hoisted rotations recorded; hoisting not exercised")
@@ -244,9 +260,9 @@ func TestPackedPlannerFallbacks(t *testing.T) {
 	})
 }
 
-// The planner's rotation set must be minimal: the pool offsets are a subset
-// of the conv taps for the paper CNN, so a 5×5 window plus 2×2 pooling at
-// stride 28 needs exactly 24 keys.
+// The planner's rotation set must be minimal: pooling happens on plaintext
+// inside the enclave, so a 5×5 conv window at stride 28 needs exactly its 24
+// non-identity taps.
 func TestPackedRotationSetMinimal(t *testing.T) {
 	svc := packedTestService(t, 21)
 	r := mrand.New(mrand.NewPCG(31, 37))
@@ -271,9 +287,9 @@ func TestPackedRotationSetMinimal(t *testing.T) {
 		}
 		seen[s] = struct{}{}
 	}
-	for _, want := range []int{1, 28, 29} { // pool offsets ride on conv taps
+	for _, want := range []int{1, 28, 4*28 + 4} {
 		if _, ok := seen[want]; !ok {
-			t.Fatalf("pool offset %d missing from rotation set", want)
+			t.Fatalf("conv tap %d missing from rotation set", want)
 		}
 	}
 }
@@ -306,6 +322,248 @@ func TestInstallGaloisKeys(t *testing.T) {
 	}
 	if err := engine.InstallGaloisKeys(nil); err == nil {
 		t.Fatal("nil key set accepted")
+	}
+}
+
+// Every wire client uploads the same rotation key set (they all hold the
+// enclave-issued secret key): the engine must keep one copy, not one per
+// connection, and keep resolving to the set that covered first.
+func TestGaloisKeysRetention(t *testing.T) {
+	svc := packedTestService(t, 26)
+	engine, err := newHybridEngine(svc, tinyCNN(3), packedTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := engine.packed.rotationSteps(8)
+	first, err := svc.GaloisKeys(steps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engine.InstallGaloisKeys(first); err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := engine.galoisKeysFor(8)
+	if err != nil || resolved != first {
+		t.Fatalf("resolved %p (err %v), want the installed set %p", resolved, err, first)
+	}
+	blob, err := he.MarshalGaloisKeys(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 50 uploads from 5 connections at once, racing requests that resolve
+	// keys. Each upload is its own object off the wire, and is acknowledged.
+	var wg sync.WaitGroup
+	for conn := 0; conn < 5; conn++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				gk, err := he.UnmarshalGaloisKeys(blob)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := engine.InstallGaloisKeys(gk); err != nil {
+					t.Errorf("upload refused: %v", err)
+				}
+				if got, err := engine.galoisKeysFor(8); err != nil || got != first {
+					t.Errorf("resolved %p (err %v) during the uploads, want %p", got, err, first)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A subset of an installed set is redundant too.
+	sub, err := svc.GaloisKeys(steps[:2], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engine.InstallGaloisKeys(sub); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(engine.packed.installed); n != 1 {
+		t.Fatalf("%d key sets retained after 52 uploads, want 1", n)
+	}
+	if resolved, err = engine.galoisKeysFor(8); err != nil || resolved != first {
+		t.Fatalf("resolved %p (err %v) after the redundant uploads, want %p", resolved, err, first)
+	}
+	// A set that adds an element, or uses another decomposition base, is kept.
+	wider, err := svc.GaloisKeys(append([]int{3}, steps...), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherBase, err := svc.GaloisKeys(steps, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gk := range []*he.GaloisKeys{wider, otherBase} {
+		if err := engine.InstallGaloisKeys(gk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(engine.packed.installed); n != 3 {
+		t.Fatalf("%d key sets retained, want 3 (a superset and another base are not redundant)", n)
+	}
+	if resolved, err = engine.galoisKeysFor(8); err != nil || resolved != first {
+		t.Fatalf("resolved %p (err %v), want the first covering set %p", resolved, err, first)
+	}
+}
+
+// The pool_unpack contract on its own: a slot-packed map at a slot stride
+// wider than the map goes in, the enclave activates (when asked), sums and
+// divides in plaintext with referencePool's arithmetic, and the pooled map
+// comes out in either layout — for every activation kind and for none.
+func TestPoolUnpackActivatesSumsAndDivides(t *testing.T) {
+	svc := packedTestService(t, 28)
+	client := testClient(t, svc)
+	codec, err := client.packedCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mrand.New(mrand.NewPCG(5, 8))
+	const c, h, w, k, stride = 3, 6, 9, 3, 11
+	const inScale, outScale = 2040, 256
+	tmod := int64(svc.Params().T)
+	for act := nn.ActKind(0); act <= nn.Square; act++ {
+		vals := make([]int64, c*h*w)
+		cts := make([]*he.Ciphertext, c)
+		for ch := range cts {
+			slots := make([]int64, (h-1)*stride+w)
+			for i := range slots {
+				slots[i] = int64(r.IntN(99999)) - 50000 // off-map slots hold junk the enclave must skip
+			}
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					v := int64(r.IntN(3*inScale)) - 3*inScale/2
+					vals[(ch*h+y)*w+x], slots[y*stride+x] = v, v
+				}
+			}
+			pt, err := codec.Encode(slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cts[ch], err = client.enc.Encrypt(pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op := NonlinearOp{Kind: OpPoolUnpack, Divisor: k * k, Lanes: stride,
+			Geometry: Geometry{Channels: c, Height: h, Width: w, Window: k}}
+		if act != 0 {
+			op.Act, op.InScale, op.OutScale = int(act), inScale, outScale
+			applyActivation(act, vals, inScale, outScale)
+		}
+		want, err := referencePool(vals, c, h, w, k, nn.MeanPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, coeffOut := range []bool{false, true} {
+			op.CoeffOut = coeffOut
+			out, err := svc.Nonlinear(context.Background(), op, cts)
+			if err != nil {
+				t.Fatalf("act %d coeffOut=%v: %v", act, coeffOut, err)
+			}
+			var got []int64
+			if coeffOut {
+				if len(out) != 1 {
+					t.Fatalf("coefficient output returned %d cts, want 1", len(out))
+				}
+				pt, err := client.dec.Decrypt(out[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cf := range pt.Poly.Coeffs[:len(want)] {
+					v := int64(cf)
+					if v > tmod/2 {
+						v -= tmod
+					}
+					got = append(got, v)
+				}
+			} else if got, err = client.DecryptValues(out); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("act %d coeffOut=%v: pooled %v, want %v", act, coeffOut, got, want)
+			}
+		}
+	}
+}
+
+// TestPackedFusedRandomNetworks is the equivalence contract of the packed
+// prefix as one crossing: randomized small networks — channels, kernel, pool
+// window, FC width, every activation kind, maps on both sides of the fusion
+// floor, the coefficient tail and (an activation behind the pool) the scalar
+// unpack — give packed logits == plaintext oracle == scalar-layout encrypted
+// run, with the ECALL count read from the platform so neither a silent
+// two-call fallback above the floor nor a fusion below it passes.
+func TestPackedFusedRandomNetworks(t *testing.T) {
+	s := newFusedStack(t, 2048)
+	cfg := fusedConfig(PoolAuto)
+	cfg.PackedConv = true
+	r := mrand.New(mrand.NewPCG(19, 97))
+	for variant, act := 0, nn.Sigmoid; act <= nn.Square; act++ {
+		for _, above := range []bool{false, true} {
+			variant++
+			var inC, outC, k, window, m int
+			for ok := false; !ok; ok = (outC*window*m*window*m >= fusedStageMinValues) == above {
+				inC, outC = 1+r.IntN(2), 1+r.IntN(4)
+				k, window, m = 2+r.IntN(3), 2+r.IntN(2), 2+r.IntN(4)
+			}
+			side, fcIn, fcOut := k-1+window*m, outC*m*m, 1+r.IntN(5)
+			coeff := variant%3 != 0
+			cfg.Workers = (variant % 2) * 3
+			name := fmt.Sprintf("%s/ch%dto%d/k%d/pool%d/side%d/fc%dto%d/above=%v/coeff=%v",
+				act, inC, outC, k, window, side, fcIn, fcOut, above, coeff)
+			t.Run(name, func(t *testing.T) {
+				layers := []nn.Layer{nn.NewConv2D(inC, outC, k, 1, r), nn.NewActivation(act), nn.NewPool2D(nn.MeanPool, window)}
+				if !coeff {
+					layers = append(layers, nn.NewActivation(nn.Sigmoid))
+				}
+				model := nn.NewNetwork(append(layers, &nn.Flatten{}, nn.NewFullyConnected(fcIn, fcOut, r))...)
+				engine, err := newHybridEngine(s.svc, model, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info := engine.PackedInfo(); !info.Active || info.CoeffTail != coeff {
+					t.Fatalf("plan %+v, want an active prefix with coefficient tail %v", info, coeff)
+				}
+				img := randomImage(r, inC, side, side)
+				pci, err := s.client.EncryptImagePacked(img, cfg.PixelScale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first packed request also generates the rotation keys.
+				if _, err := engine.Infer(pci); err != nil {
+					t.Fatal(err)
+				}
+				before := s.platform.Snapshot()
+				res, fr := inferReported(t, engine, pci)
+				ecalls := s.platform.Snapshot().Sub(before).ECalls
+				want := uint64(2)
+				if above {
+					want = 1
+				}
+				if !coeff {
+					want++ // the activation behind the pool
+				}
+				if pool := fr.Layers[2]; ecalls != want || pool.Fused != above {
+					t.Errorf("%d ECALLs, pool fused=%v; want %d and %v", ecalls, pool.Fused, want, above)
+				}
+				if pool, fc := fr.Layers[2], layerOfKind(t, fr, "fc"); pool.CoeffTail != coeff || (fc.CtsIn == 1) != coeff {
+					t.Errorf("pool coeff_tail=%v, fc consumed %d cts; want coefficient tail %v", pool.CoeffTail, fc.CtsIn, coeff)
+				}
+				assertLogits(t, s.client, engine, img, res.Logits)
+
+				scalar, err := s.client.encryptImageScalar(img, cfg.PixelScale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sres, err := engine.Infer(scalar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertLogits(t, s.client, engine, img, sres.Logits)
+			})
+		}
 	}
 }
 

@@ -111,6 +111,22 @@ func (gk *GaloisKeys) Contains(step int) bool {
 	return ok
 }
 
+// Covers reports whether gk can stand in for other wherever other is used:
+// same parameters and decomposition base, and a key for every Galois element
+// other holds. Keys for one element under one secret key differ only in their
+// encryption randomness, so a covered set adds nothing.
+func (gk *GaloisKeys) Covers(other *GaloisKeys) bool {
+	if gk.BaseBits != other.BaseBits || !gk.Params.Equal(other.Params) {
+		return false
+	}
+	for g := range other.keys {
+		if _, ok := gk.keys[g]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // GenGaloisKeys produces key-switch keys for the given rotation steps at
 // decomposition base 2^baseBits (DefaultGaloisBaseBits when 0). Duplicate
 // and identity steps are coalesced, so the set holds exactly the distinct
