@@ -161,6 +161,20 @@ func run() int {
 		}
 	}
 	logger.Info("hybrid plan", "stages", strings.Join(plan, " "))
+	// Scalar-layout queries fold the map in front of each whole-map pool
+	// ECALL the planner owns: coeff_in values per ciphertext in, and with
+	// coeff_tail one ciphertext out for the FC behind it.
+	for _, step := range steps {
+		if step.CoeffIn > 0 {
+			logger.Info("pool crossing plan",
+				"step", step.Label,
+				"one_crossing", step.Fused,
+				"coeff_in", step.CoeffIn,
+				"coeff_tail", step.CoeffTail,
+				"coeff_tail_reason", step.CoeffTailReason,
+				"budget_bits", fmt.Sprintf("%.2f", step.PredictedBudgetBits))
+		}
+	}
 	if *packedConv {
 		if info := engine.PackedInfo(); info.Active {
 			logger.Info("packed convolution plan active",

@@ -143,6 +143,9 @@ func main() {
 			if l.Fused {
 				note = "  fused: one ECALL for the act+pool pair"
 			}
+			if l.CoeffIn > 1 {
+				note += fmt.Sprintf("  (%d values per ciphertext across it)", l.CoeffIn)
+			}
 			fmt.Printf("  %-10s %10.2f %8d %12s %12s%s\n", l.Label, l.WallMS, l.Transitions, pred, meas, note)
 		}
 		if fr.MinMeasuredBudgetBits != nil {

@@ -489,7 +489,7 @@ func (o Options) RunFig8() error {
 	o.printf("| EncryptSGX (single ECALL per value) | %.3f |\n", singleTime)
 	o.printf("| EncryptSGX (batched hybrid) | %.3f |\n", sgxTime)
 	o.printf("| EncryptFakeSGX (hybrid, no enclave cost) | %.3f |\n", fakeTime)
-	o.printf("| EncryptSGX fused (this repo: activation inside the pool ECALL) | %.3f |\n", fusedTime)
+	o.printf("| EncryptSGX fused (this repo: activation inside the pool ECALL, map coefficient-packed across it) | %.3f |\n", fusedTime)
 	saving := (baselineTime.perModulus - sgxTime) / baselineTime.perModulus * 100
 	o.printf("\npaper: Encrypted 450.65 s/image, EncryptSGX 272.125 s/image (39.615%% saved), ")
 	o.printf("EncryptSGX(single) +152.5 s/image, FakeSGX gap = SGX tax 31.689 s/image\n")

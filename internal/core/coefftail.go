@@ -7,15 +7,16 @@ import (
 	"hesgx/internal/ring"
 )
 
-// Coefficient-packed FC tail of the packed path.
+// Coefficient-packed FC tail.
 //
-// The packed prefix ends in the pool-unpack ECALL. Handing its output to the
-// scalar FC kernel means one fresh public-key encryption per pooled value
-// (864 for the paper CNN) under the enclave tax, only so the FC can read one
-// value per ciphertext. The coefficient tail instead asks the enclave for
-// ONE ciphertext whose plaintext is x(X) = Σ_i x_i·X^i (pooled value i at
-// coefficient i, channel-major — the order flatten assumes) and computes
-// each FC output as a single plaintext product:
+// A whole-map pool ECALL — pool-unpack at the end of the rotation-packed
+// prefix, or the scalar layout's planner-owned pool_full/pool_max — that hands
+// its output to the scalar FC kernel pays one fresh public-key encryption per
+// pooled value (864 for the paper CNN) under the enclave tax, only so the FC
+// can read one value per ciphertext. The coefficient tail instead asks the
+// enclave for ONE ciphertext whose plaintext is x(X) = Σ_i x_i·X^i (pooled
+// value i at coefficient i, channel-major — the order flatten assumes) and
+// computes each FC output as a single plaintext product:
 //
 //	W_o(X) = w_{o,0} − Σ_{i≥1} w_{o,i}·X^{n−i}
 //
@@ -27,16 +28,27 @@ import (
 // coefficients: the client decrypts its logit at coefficient 0 and uniform
 // noise everywhere else.
 
-// planCoeffTail decides whether the packed prefix hands the FC a single
-// coefficient-packed ciphertext, returning the predicted budget of the FC
-// outputs on that tail, or the reason the scalar unpack stays.
+// planCoeffTail decides whether the whole-map pool step in front of
+// steps[prefix] hands the FC a single coefficient-packed ciphertext, returning
+// the predicted budget of the FC outputs on that tail, or the reason the pool
+// keeps emitting scalar ciphertexts.
 func planCoeffTail(params he.Parameters, steps []*planStep, prefix int) (budgetBits float64, reason string) {
 	if len(steps) < prefix+2 || steps[prefix].kind != stepFlatten || steps[prefix+1].kind != stepFC {
-		return 0, "packed prefix is not followed by flatten → fully connected"
+		return 0, "pool is not followed by flatten → fully connected"
 	}
 	fc := steps[prefix+1].fc
 	if fc.In > params.N {
 		return 0, fmt.Sprintf("fc input %d exceeds %d plaintext coefficients", fc.In, params.N)
+	}
+	// Every consumer of the tail's outputs reads coefficient 0 and ignores the
+	// masked by-products beside it — except the fold in front of a
+	// coefficient-packed pool crossing, which would shift them onto its values.
+	next := steps[prefix+2:]
+	for len(next) > 0 && (next[0].kind == stepFlatten || (next[0].kind == stepAct && next[0].fused)) {
+		next = next[1:]
+	}
+	if len(next) > 0 && next[0].kind == stepPool && next[0].coeffIn > 0 {
+		return 0, "fc outputs reach a coefficient-packed pool crossing unrefreshed"
 	}
 	// One plaintext product against a row of ℓ1 norm ≤ MaxRowL1 over a
 	// fresh (enclave re-encrypted) input, plus the bias/mask plaintext: the

@@ -56,7 +56,7 @@ const (
 const EnclaveName = "hesgx-inference-enclave"
 
 // EnclaveVersion feeds the measurement; bump on trusted-code changes.
-const EnclaveVersion = "1.7.0"
+const EnclaveVersion = "1.8.0"
 
 // EnclaveService hosts the trusted half of the framework on an SGX
 // platform: FV key generation and custody, key provisioning via ECDH for
@@ -386,21 +386,39 @@ func (m *budgetMeter) wrap(cts []byte) []byte {
 	return out
 }
 
-// slotDecoder is the decoding half of a slot codec (batch or packed).
+// slotDecoder reads the value vector a decrypted plaintext carries: a slot
+// codec (batch or packed), or coeffDecoder for the scalar layout.
 type slotDecoder interface {
 	Decode(pt *he.Plaintext) ([]int64, error)
 }
 
-// decryptVectors decrypts a batch into centered value vectors, recording
-// each ciphertext's measured noise budget into meter. Without a codec each
-// ciphertext yields one value (its constant coefficient); with one each
-// yields its full slot vector (§VIII) in that codec's slot order.
+// coeffDecoder reads the first g plaintext coefficients, centered mod t: the
+// scalar layout's one value at the constant coefficient (g = 1), or the g map
+// values of a coefficient-packed ciphertext. The caller has bounded g by n.
+type coeffDecoder struct {
+	t uint64
+	g int
+}
+
+func (d coeffDecoder) Decode(pt *he.Plaintext) ([]int64, error) {
+	out := make([]int64, d.g)
+	for i, c := range pt.Poly.Coeffs[:d.g] {
+		out[i] = int64(c)
+		if c > d.t/2 {
+			out[i] -= int64(d.t)
+		}
+	}
+	return out, nil
+}
+
+// decryptVectors decrypts a batch into centered value vectors — one per
+// ciphertext, as codec reads it — recording each ciphertext's measured noise
+// budget into meter.
 func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, payload []byte, codec slotDecoder, meter *budgetMeter) ([][]int64, error) {
 	cts, err := decodeCiphertextBatch(payload, st.params)
 	if err != nil {
 		return nil, err
 	}
-	t := st.params.T
 	out := make([][]int64, len(cts))
 	for i, ct := range cts {
 		pt, bits, err := keys.dec.DecryptWithBudget(ct)
@@ -408,19 +426,8 @@ func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, paylo
 			return nil, fmt.Errorf("decrypting batch element %d: %w", i, err)
 		}
 		meter.observe(bits)
-		if codec != nil {
-			slots, err := codec.Decode(pt)
-			if err != nil {
-				return nil, fmt.Errorf("decoding slots of element %d: %w", i, err)
-			}
-			out[i] = slots
-		} else {
-			c := pt.Poly.Coeffs[0]
-			v := int64(c)
-			if c > t/2 {
-				v = int64(c) - int64(t)
-			}
-			out[i] = []int64{v}
+		if out[i], err = codec.Decode(pt); err != nil {
+			return nil, fmt.Errorf("decoding element %d: %w", i, err)
 		}
 		ctx.Touch(st.params.N * 8 * 2)
 	}
@@ -430,8 +437,8 @@ func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, paylo
 // encryptVectors re-encrypts value vectors as fresh ciphertexts: in SIMD
 // mode one vector per slot-packed ciphertext; otherwise vector value i at
 // plaintext coefficient i — one value at the constant coefficient, where
-// scalar decryption reads it, or a whole coefficient-packed map (the caller
-// has checked it holds at most n values).
+// scalar decryption reads it, or a whole coefficient-packed map, which must
+// hold at most n values.
 func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs [][]int64, simd bool) ([]byte, error) {
 	var codec *encoding.BatchEncoder
 	if simd {
@@ -452,6 +459,9 @@ func (st *enclaveState) encryptVectors(ctx *sgx.Context, keys *loadedKeys, vecs 
 			}
 			ct, err = keys.enc.Encrypt(pt)
 		} else {
+			if len(vec) > st.params.N {
+				return nil, fmt.Errorf("re-encrypting element %d: %d values exceed %d plaintext coefficients", i, len(vec), st.params.N)
+			}
 			pt := he.NewPlaintext(st.params)
 			for j, v := range vec {
 				if v %= t; v < 0 {
@@ -478,6 +488,21 @@ func applyActivation(kind nn.ActKind, vals []int64, inScale, outScale float64) {
 	}
 }
 
+// batchLayout says how a vectorOp ECALL reads the plaintexts of its batch.
+type batchLayout int
+
+const (
+	// valueBatch: the constant coefficient of each ciphertext, or every CRT
+	// slot (§VIII) when the request says SIMD.
+	valueBatch batchLayout = iota
+	// coeffBatch: as valueBatch, except that a scalar request may carry
+	// CoeffIn map values per ciphertext — the whole-map pools.
+	coeffBatch
+	// rotationBatch: slot vectors in rotation order, the rotation-packed
+	// layout's pool_unpack.
+	rotationBatch
+)
+
 // vectorFunc is the plaintext stage of a decrypt–compute–re-encrypt ECALL:
 // it maps the decrypted value vectors to the vectors to re-encrypt.
 type vectorFunc func(vecs [][]int64) ([][]int64, error)
@@ -485,11 +510,9 @@ type vectorFunc func(vecs [][]int64) ([][]int64, error)
 // vectorOp is the one body of those ECALLs (§IV-D): load the keys, parse the
 // envelope, let plan refuse the request before anything is decoded or
 // decrypted, decrypt the batch while metering its budgets, run the planned
-// stage on the plaintext, and re-encrypt what it returns. The batch is read
-// as constant coefficients, as CRT slot vectors when the request says SIMD,
-// or — packed, the rotation-packed layout's ECALL — as slot vectors in
-// rotation order.
-func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, packed bool, plan func(req *nonlinearRequest) (vectorFunc, error)) ([]byte, error) {
+// stage on the plaintext, and re-encrypt what it returns. How the batch is
+// read is the ECALL's layout.
+func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, layout batchLayout, plan func(req *nonlinearRequest) (vectorFunc, error)) ([]byte, error) {
 	st.touchKeys(ctx)
 	keys, err := st.loadKeys(ctx)
 	if err != nil {
@@ -499,13 +522,24 @@ func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, packed bool, pl
 	if err != nil {
 		return nil, err
 	}
+	// CoeffIn belongs to the scalar batch of a whole-map pool; anywhere else,
+	// or reaching past the plaintext, it is refused from the header. The plan
+	// and the decoder see it normalized: 0 reads as 1.
+	switch g := int(req.CoeffIn); {
+	case g == 0:
+		req.CoeffIn = 1
+	case layout != coeffBatch || req.SIMD != 0:
+		return nil, fmt.Errorf("request carries %d values per ciphertext, but this batch (SIMD %d) holds one", g, req.SIMD)
+	case g > st.params.N:
+		return nil, fmt.Errorf("%d values per ciphertext exceed %d plaintext coefficients", g, st.params.N)
+	}
 	compute, err := plan(req)
 	if err != nil {
 		return nil, err
 	}
-	var codec slotDecoder
+	var codec slotDecoder = coeffDecoder{t: st.params.T, g: int(req.CoeffIn)}
 	switch {
-	case packed:
+	case layout == rotationBatch:
 		codec, err = st.packedCodec()
 	case req.SIMD != 0:
 		codec, err = st.slotCodec()
@@ -521,7 +555,7 @@ func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, packed bool, pl
 	if vecs, err = compute(vecs); err != nil {
 		return nil, err
 	}
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0 && !packed)
+	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0 && layout != rotationBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -551,7 +585,7 @@ func activationStage(kind int, req *nonlinearRequest) (vectorFunc, error) {
 // sigmoid is the §IV-D plaintext computation for the activation layer:
 // decrypt, exact Sigmoid on dequantized values, requantize, re-encrypt.
 func (st *enclaveState) sigmoid(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, valueBatch, func(req *nonlinearRequest) (vectorFunc, error) {
 		return activationStage(int(nn.Sigmoid), req)
 	})
 }
@@ -561,7 +595,7 @@ func (st *enclaveState) sigmoid(ctx *sgx.Context, input []byte) ([]byte, error) 
 // §VI-C's point that SGX evaluates diverse activations (ReLU, Tanh, ...)
 // without approximation.
 func (st *enclaveState) activation(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, valueBatch, func(req *nonlinearRequest) (vectorFunc, error) {
 		kind := int(req.Act)
 		if kind == 0 {
 			kind = int(st.actKind.Load())
@@ -577,7 +611,7 @@ func (st *enclaveState) activation(ctx *sgx.Context, input []byte) ([]byte, erro
 // the window sums arrive already computed homomorphically outside; the
 // enclave performs only the non-linear division.
 func (st *enclaveState) poolDivide(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, valueBatch, func(req *nonlinearRequest) (vectorFunc, error) {
 		if req.Divisor == 0 {
 			return nil, fmt.Errorf("pool divide with zero divisor")
 		}
@@ -620,8 +654,16 @@ func (st *enclaveState) poolMax(ctx *sgx.Context, input []byte) ([]byte, error) 
 // entering the pool are the ones a separate activation ECALL would have
 // re-encrypted, so one crossing replaces two and only the pooled map is
 // re-encrypted.
+//
+// A scalar-layout map may cross coefficient-packed both ways. In: CoeffIn = g
+// values per ciphertext, flat channel-major value i at coefficient i mod g of
+// ciphertext i div g (the untrusted engine folds them with monomial shifts;
+// g = 1 is one value per ciphertext), read back into the same one-value
+// vectors the stages below have always worked on. Out: with CoeffOut the
+// pooled map leaves as ONE ciphertext, value i at coefficient i, as on
+// poolUnpack. A SIMD map uses its slots for lanes and crosses per position.
 func (st *enclaveState) poolKind(ctx *sgx.Context, input []byte, usesMax bool) ([]byte, error) {
-	return st.vectorOp(ctx, input, false, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, coeffBatch, func(req *nonlinearRequest) (vectorFunc, error) {
 		w, h, c, k := int(req.Width), int(req.Height), int(req.Channels), int(req.Window)
 		// The per-dimension cap keeps c·h·w from wrapping on a hostile envelope.
 		if w <= 0 || h <= 0 || c <= 0 || k <= 0 || max(w, h, c) > maxBatchCiphertexts {
@@ -637,16 +679,53 @@ func (st *enclaveState) poolKind(ctx *sgx.Context, input []byte, usesMax bool) (
 				return nil, err
 			}
 		}
+		simd, coeffOut := req.SIMD != 0, req.CoeffOut != 0
+		oh, ow := h/k, w/k
+		if coeffOut && simd {
+			return nil, fmt.Errorf("pool of a SIMD map has no coefficient-packed output")
+		}
+		// Dividing keeps a hostile channel count from wrapping the product.
+		if coeffOut && c > st.params.N/(oh*ow) {
+			return nil, fmt.Errorf("pooled map %dx%dx%d exceeds %d plaintext coefficients", c, oh, ow, st.params.N)
+		}
+		// A batch opens with its ciphertext count: compared before any is
+		// decoded. vectorOp has put CoeffIn in [1, n].
+		values, g := c*h*w, int(req.CoeffIn)
+		if want := (values + g - 1) / g; len(req.CTs) < 4 || int(leU32(req.CTs)) != want {
+			return nil, fmt.Errorf("pool batch does not hold the %d ciphertexts of a %dx%dx%d map at %d values each", want, c, h, w, g)
+		}
 		return func(vecs [][]int64) ([][]int64, error) {
-			if len(vecs) != c*h*w {
-				return nil, fmt.Errorf("pool batch %d != %d*%d*%d", len(vecs), c, h, w)
+			if !simd {
+				flat := make([]int64, 0, len(vecs)*g)
+				for _, vec := range vecs {
+					flat = append(flat, vec...)
+				}
+				vecs = valueVectors(flat[:values])
 			}
 			if activate != nil {
 				vecs, _ = activate(vecs) // element-wise and in place: it cannot fail
 			}
-			return poolVectors(vecs, c, h, w, k, usesMax), nil
+			vecs = poolVectors(vecs, c, h, w, k, usesMax)
+			if coeffOut {
+				flat := make([]int64, len(vecs))
+				for i, vec := range vecs {
+					flat[i] = vec[0]
+				}
+				vecs = [][]int64{flat}
+			}
+			return vecs, nil
 		}, nil
 	})
+}
+
+// valueVectors views a flat value list as one-value vectors, the scalar
+// layout's shape.
+func valueVectors(flat []int64) [][]int64 {
+	out := make([][]int64, len(flat))
+	for i := range flat {
+		out[i] = flat[i : i+1]
+	}
+	return out
 }
 
 // poolVectors pools a channel-major c×h×w map of value vectors with a k×k
@@ -759,7 +838,7 @@ func poolUnpackErr(format string, args ...any) error {
 // per value for the scalar flatten/FC tail. Everything the envelope can get
 // wrong is refused before the batch is decoded.
 func (st *enclaveState) poolUnpack(ctx *sgx.Context, input []byte) ([]byte, error) {
-	return st.vectorOp(ctx, input, true, func(req *nonlinearRequest) (vectorFunc, error) {
+	return st.vectorOp(ctx, input, rotationBatch, func(req *nonlinearRequest) (vectorFunc, error) {
 		w, h, c, k, stride := int(req.Width), int(req.Height), int(req.Channels), int(req.Window), int(req.Lanes)
 		if w <= 0 || h <= 0 || c <= 0 || k <= 0 {
 			return nil, poolUnpackErr("geometry %dx%dx%d window %d invalid", c, h, w, k)
@@ -825,11 +904,7 @@ func (st *enclaveState) poolUnpack(ctx *sgx.Context, input []byte) ([]byte, erro
 			if coeffOut {
 				return [][]int64{pooled}, nil
 			}
-			out := make([][]int64, len(pooled))
-			for i := range pooled {
-				out[i] = pooled[i : i+1]
-			}
-			return out, nil
+			return valueVectors(pooled), nil
 		}, nil
 	})
 }

@@ -27,11 +27,16 @@ const (
 	// the fused stage costs N decrypts + N/k² encrypts where either paper
 	// strategy behind a separate activation costs N + N/k² of each. A pool
 	// behind a linear layer follows the paper's crossover rule: SGXPool for
-	// windows smaller than PoolCrossoverWindow, SGXDiv otherwise.
+	// windows smaller than PoolCrossoverWindow, SGXDiv otherwise. Every
+	// whole-map crossing chosen here — the fused stage, SGXPool — carries a
+	// scalar-layout map coefficient-packed, as many values per ciphertext as
+	// the noise accountant clears (planStep.coeffIn), and hands an FC behind
+	// it the pooled map as one ciphertext (planStep.coeffTail).
 	PoolAuto PoolStrategy = iota + 1
 	// PoolSGXDiv computes window sums homomorphically outside the enclave
 	// and only divides inside ("SGXDiv"). Explicit strategies are the
-	// paper's measured two-ECALL pipelines and never fuse.
+	// paper's measured two-ECALL pipelines: they never fuse and cross one
+	// value per ciphertext.
 	PoolSGXDiv
 	// PoolSGXPool sends the whole feature map into the enclave ("SGXPool").
 	PoolSGXPool
@@ -98,7 +103,8 @@ type Config struct {
 	// batching-capable plaintext modulus (prime t ≡ 1 mod 2n) and images
 	// encrypted with Client.EncryptImageBatch.
 	SIMD bool
-	// Workers parallelizes the homomorphic linear layers across goroutines:
+	// Workers parallelizes the homomorphic linear layers (and the coefficient
+	// fold in front of a pool crossing) across goroutines:
 	// 0 or 1 = sequential (keeps timings comparable to the paper's
 	// single-threaded SEAL runs), -1 = one per CPU, n > 1 = exactly n.
 	// Enclave stages (one ECALL per activation, pool, or fused
@@ -142,8 +148,9 @@ type planStep struct {
 	// prediction of the remaining budget of this step's ciphertexts: for
 	// linear steps, the budget of the outputs; for enclave steps (act,
 	// pool), the budget of the ciphertexts *entering* the refresh — the
-	// value directly comparable to the budget the enclave measures. The two
-	// halves of a fused stage both carry the budget entering its one ECALL.
+	// value directly comparable to the budget the enclave measures. A fused
+	// activation carries the budget of the map it passes on; a pool whose
+	// crossing is coefficient-packed (coeffIn) the budget after packing.
 	predBudgetBits float64
 
 	conv *nn.QuantizedConv
@@ -172,6 +179,25 @@ type planStep struct {
 	// re-encryption would have applied is the identity.
 	fused      bool
 	actInScale uint64
+
+	// coeffIn is set on a pool step whose whole-map crossing the planner owns
+	// (PoolAuto: a fused pair's, or SGXPool by the crossover rule): how many
+	// map values share each ciphertext that enters its ECALL in the scalar
+	// layout — the largest count the static accountant still clears, 1 when
+	// the budget allows nothing more. 0 on every other step: explicit
+	// strategies, SGXDiv and SingleECalls cross per value. valueBudgetBits is
+	// the step's prediction for a SIMD/lane request, whose slots are in use
+	// and whose map therefore crosses per position: the budget before packing.
+	coeffIn         int
+	valueBudgetBits float64
+	// coeffTail is that pool step's output decision (planCoeffTail): the
+	// pooled map leaves the ECALL as ONE coefficient-packed ciphertext for the
+	// FC two steps on; coeffTailReason says why not. coeffRows marks an FC
+	// step some plan — this one or the rotation-packed prefix — feeds that way,
+	// so EncodeWeights builds its whole-row operands.
+	coeffTail       bool
+	coeffTailReason string
+	coeffRows       bool
 }
 
 type stepKind int
@@ -261,6 +287,7 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 	maxMag := int64(cfg.PixelScale)
 	tHalf := int64(params.T / 2)
 	noise := params.FreshNoiseBound()
+	actNoise := noise // the bound entering the latest activation step
 	for i, l := range model.Layers {
 		switch v := l.(type) {
 		case *nn.Conv2D:
@@ -288,6 +315,7 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 			// The recorded prediction is the budget entering the enclave;
 			// re-encryption resets the accountant (§IV-E).
 			e.steps = append(e.steps, &planStep{kind: stepAct, act: v.Kind, actInScale: uint64(scale), predBudgetBits: noise.BudgetBits()})
+			actNoise = noise
 			noise = noise.Refresh()
 			switch x := float64(maxMag) / scale; v.Kind {
 			case nn.Sigmoid, nn.Tanh:
@@ -306,25 +334,32 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 				return nil, fmt.Errorf("core: layer %d: the hybrid engine computes true mean pooling; SumPool belongs to the pure-HE baseline", i)
 			}
 			step := &planStep{kind: stepPool, window: v.K, pool: v.Kind}
+			entering := noise
 			if n := len(e.steps); n > 0 && e.steps[n-1].kind == stepAct && cfg.Pool == PoolAuto && !cfg.SingleECalls {
 				// One crossing for the pair: what enters the enclave is the
 				// activation's input, at the scale and budget it recorded.
 				act := e.steps[n-1]
 				act.fused, step.fused = true, true
-				step.act, step.actInScale, step.predBudgetBits = act.act, act.actInScale, act.predBudgetBits
-			} else {
-				if v.Kind != nn.MaxPool && e.poolStrategyFor(v) == PoolSGXDiv {
-					// SGXDiv sums k² ciphertexts homomorphically before the
-					// enclave divides: the window sum is what gets decrypted.
-					noise = noise.WeightedSum(float64(v.K*v.K), v.K*v.K)
-					// The window sum's transient magnitude is also checked
-					// for exactness here.
-					transient := maxMag * int64(v.K*v.K)
-					if transient >= tHalf {
-						return nil, fmt.Errorf("core: layer %d: SGXDiv window sum magnitude %d exceeds t/2 = %d", i, transient, tHalf)
-					}
+				step.act, step.actInScale, entering = act.act, act.actInScale, actNoise
+			} else if v.Kind != nn.MaxPool && e.poolStrategyFor(v) == PoolSGXDiv {
+				// SGXDiv sums k² ciphertexts homomorphically before the
+				// enclave divides: the window sum is what gets decrypted.
+				entering = noise.WeightedSum(float64(v.K*v.K), v.K*v.K)
+				// The window sum's transient magnitude is also checked
+				// for exactness here.
+				transient := maxMag * int64(v.K*v.K)
+				if transient >= tHalf {
+					return nil, fmt.Errorf("core: layer %d: SGXDiv window sum magnitude %d exceeds t/2 = %d", i, transient, tHalf)
 				}
-				step.predBudgetBits = noise.BudgetBits()
+			}
+			step.predBudgetBits, step.valueBudgetBits = entering.BudgetBits(), entering.BudgetBits()
+			if cfg.Pool == PoolAuto && !cfg.SingleECalls && (step.fused || e.poolStrategyFor(v) == PoolSGXPool) {
+				// The planner owns this whole-map crossing: the scalar map
+				// enters it coefficient-packed, as many values per ciphertext
+				// as the accountant clears. (Below the fusion floor a planned
+				// pair's pool sees fresh ciphertexts: less noise than bounded.)
+				step.coeffIn = maxCoeffPacking(entering, params.N)
+				step.predBudgetBits = entering.PackCoefficients(step.coeffIn).BudgetBits()
 			}
 			e.steps = append(e.steps, step)
 			noise = noise.Refresh()
@@ -342,10 +377,36 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 		s.label = fmt.Sprintf("%02d_%s", i, s.kind.String())
 	}
 	e.outScale = scale
+	for i, s := range e.steps {
+		if s.coeffIn > 0 {
+			if _, s.coeffTailReason = planCoeffTail(params, e.steps, i+1); s.coeffTailReason == "" {
+				s.coeffTail, e.steps[i+2].coeffRows = true, true
+			}
+		}
+	}
 	if cfg.PackedConv {
 		e.packed, e.packedReason = planPacked(params, e.steps, e.slotCapable)
 	}
 	return e, nil
+}
+
+// maxCoeffPacking returns the largest g ≤ n for which the sum of g monomial-
+// shifted ciphertexts, each bounded by entering, still has predicted budget
+// left — how many map values the planner lets share one ciphertext across a
+// whole-map pool crossing. 1, the per-value batch, when the budget allows
+// nothing more.
+func maxCoeffPacking(entering he.NoiseBound, n int) int {
+	// The packed bound grows with g, so bisect; lo fits, or is 1.
+	lo, hi := 1, n
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if entering.PackCoefficients(mid).Exhausted() {
+			hi = mid - 1
+		} else {
+			lo = mid
+		}
+	}
+	return lo
 }
 
 // PlanStepInfo describes one planned step of the hybrid pipeline for
@@ -357,7 +418,13 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 // enter), the ciphertexts entering pool_unpack (see PackedInfo.PoolBudgetBits)
 // and the coefficient-tail FC's outputs. Fused marks both halves of an
 // activation+pool pair that shares one ECALL: the act step issues none, the
-// pool step's ECALL applies the activation first.
+// pool step's ECALL applies the activation first. CoeffIn, CoeffTail and
+// CoeffTailReason report the coefficient-packed crossing of a pool step whose
+// whole-map ECALL the planner owns, for scalar-layout images: how many map
+// values share each ciphertext entering it (1: the budget allows only the
+// per-value batch; 0: not such a step) — PredictedBudgetBits is then the
+// budget after that packing — and whether the pooled map leaves as one
+// coefficient-packed ciphertext for the FC behind it, or why not.
 type PlanStepInfo struct {
 	Step                int      `json:"step"`
 	Kind                string   `json:"kind"`
@@ -365,6 +432,9 @@ type PlanStepInfo struct {
 	PredictedBudgetBits float64  `json:"predicted_budget_bits"`
 	PackedBudgetBits    *float64 `json:"packed_budget_bits,omitempty"`
 	Fused               bool     `json:"fused,omitempty"`
+	CoeffIn             int      `json:"coeff_in,omitempty"`
+	CoeffTail           bool     `json:"coeff_tail,omitempty"`
+	CoeffTailReason     string   `json:"coeff_tail_reason,omitempty"`
 }
 
 // PlanInfo returns the planned steps with their predicted noise budgets —
@@ -372,7 +442,8 @@ type PlanStepInfo struct {
 func (e *HybridEngine) PlanInfo() []PlanStepInfo {
 	out := make([]PlanStepInfo, len(e.steps))
 	for i, s := range e.steps {
-		out[i] = PlanStepInfo{Step: i, Kind: s.kind.String(), Label: s.label, PredictedBudgetBits: s.predBudgetBits, Fused: s.fused}
+		out[i] = PlanStepInfo{Step: i, Kind: s.kind.String(), Label: s.label, PredictedBudgetBits: s.predBudgetBits, Fused: s.fused,
+			CoeffIn: s.coeffIn, CoeffTail: s.coeffTail, CoeffTailReason: s.coeffTailReason}
 		if e.packed != nil {
 			if bits, ok := e.packed.budgetBits(i); ok {
 				out[i].PackedBudgetBits = &bits
@@ -487,7 +558,7 @@ func (e *HybridEngine) encodeFCStep(s *planStep) error {
 	for i, b := range s.fc.B {
 		s.fcBias[i] = e.scalar.Encode(b)
 	}
-	if p := e.packed; p != nil && p.coeffTail && s == e.steps[p.prefix+1] {
+	if s.coeffRows {
 		return e.encodeFCRows(s)
 	}
 	return nil
@@ -575,20 +646,20 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 	stride := img.Width // slot row stride of the packed layout
 	scale := float64(e.cfg.PixelScale)
 	r := e.params.Ring()
+	// coeffMap is set between a pool step that asked its ECALL for the
+	// coefficient-packed output and the FC that consumes it: cts is then ONE
+	// ciphertext holding the c·h·w pooled values.
+	coeffMap := false
 
 	for i, s := range e.steps {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: step %d: %w", i, err)
 		}
 		packedStep := img.Packed && i < e.packed.prefix // a packed image implies a plan
-		// tailStep marks the two steps of a packed request whose kernel the
-		// plan's tail decision selects: the prefix pool (pool-unpack's
-		// output layout) and an FC right behind the flatten that follows it.
-		// Between them cts is one coefficient-packed ciphertext holding
-		// c·h·w values when coeffStep is set.
-		tailStep := img.Packed && ((s.kind == stepPool && packedStep) || (s.kind == stepFC && i == e.packed.prefix+1))
-		coeffStep := tailStep && e.packed.coeffTail
 		predBits := s.predBudgetBits
+		if simd && s.kind == stepPool {
+			predBits = s.valueBudgetBits
+		}
 		if img.Packed {
 			if bits, ok := e.packed.budgetBits(i); ok {
 				predBits = bits
@@ -598,8 +669,10 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		span.Arg("step", float64(i)).
 			Arg("cts_in", float64(len(cts))).
 			Arg("pred_budget_bits", predBits)
-		if tailStep {
-			span.Arg("coeff_tail", b2f(coeffStep))
+		// An FC whose plan built whole-row operands reports which kernel this
+		// request ran; the pool in front of it reports its output layout below.
+		if s.coeffRows {
+			span.Arg("coeff_tail", b2f(coeffMap))
 		}
 		// Both halves of a pair see the same map (a fused activation passes
 		// it on untouched), so they agree on the floor.
@@ -642,15 +715,22 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 				scale = float64(e.cfg.ActScale)
 			case stepPool:
 				if packedStep {
+					coeffMap = e.packed.coeffTail
 					cts, h, w, err = e.runPackedPool(lctx, s, cts, c, h, w, stride, fusedStep)
+					span.Arg("coeff_tail", b2f(coeffMap))
 				} else {
+					if g, tail := s.coeffCrossing(simd); g > 0 {
+						coeffMap = tail
+						span.Arg("coeff_in", float64(g)).Arg("coeff_tail", b2f(tail))
+					}
 					cts, h, w, err = e.runPool(lctx, s, cts, c, h, w, simd, fusedStep)
 				}
 			case stepFlatten:
 				// No-op on the flat ciphertext slice.
 			case stepFC:
-				if coeffStep {
+				if coeffMap {
 					cts, err = e.runFCCoeff(s, cts, c*h*w, e.effectiveWorkers())
+					coeffMap = false
 				} else {
 					cts, err = e.runFCParallel(s, cts, e.effectiveWorkers())
 				}
@@ -772,6 +852,18 @@ func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.
 	return e.caller.Nonlinear(ctx, op, in)
 }
 
+// coeffCrossing resolves a pool step's planned crossing for one request: how
+// many map values share each ciphertext entering the ECALL (0: the planner
+// does not own this crossing) and whether the pooled map returns as one
+// coefficient-packed ciphertext. A SIMD map's slots carry lanes, so it crosses
+// per position — g = 1 of the same routine — and returns per position.
+func (s *planStep) coeffCrossing(simd bool) (g int, tail bool) {
+	if s.coeffIn > 0 && simd {
+		return 1, false
+	}
+	return s.coeffIn, s.coeffTail
+}
+
 func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w int, simd, fused bool) ([]*he.Ciphertext, int, int, error) {
 	if len(in) != c*h*w {
 		return nil, 0, 0, fmt.Errorf("pool input %d cts != %d*%d*%d", len(in), c, h, w)
@@ -818,8 +910,45 @@ func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Cipher
 		out, err := e.caller.Nonlinear(ctx, NonlinearOp{Kind: OpPoolDivide, SIMD: simd, Divisor: uint64(k * k)}, sums)
 		return out, oh, ow, err
 	}
+	if g, tail := s.coeffCrossing(simd); g > 0 {
+		if !simd {
+			op.CoeffIn, op.CoeffOut = g, tail
+		}
+		var err error
+		if in, err = e.packCoefficients(in, g, e.effectiveWorkers()); err != nil {
+			return nil, 0, 0, err
+		}
+	}
 	out, err := e.caller.Nonlinear(ctx, op, in)
 	return out, oh, ow, err
+}
+
+// packCoefficients folds a scalar map into ⌈len/g⌉ coefficient-packed
+// ciphertexts: acc += X^(i mod g)·ct_i puts flat value i at coefficient
+// i mod g of ciphertext i div g. Multiplying by a monomial is a negacyclic
+// shift of the two polynomials — no key, no NTT, noise norm unchanged — so the
+// untrusted engine does it itself. g = 1 is the map as it stands, one value
+// per ciphertext.
+func (e *HybridEngine) packCoefficients(in []*he.Ciphertext, g, workers int) ([]*he.Ciphertext, error) {
+	if g == 1 {
+		return in, nil
+	}
+	out := make([]*he.Ciphertext, (len(in)+g-1)/g)
+	err := parallelFor(len(out), workers, func(o int) error {
+		group := in[o*g : min((o+1)*g, len(in))]
+		acc := he.NewCiphertext(e.params, group[0].Size())
+		for j, ct := range group {
+			if err := e.eval.MulMonomialAddInto(acc, ct, j); err != nil {
+				return err
+			}
+		}
+		out[o] = acc
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ReferenceForward runs the identical integer pipeline in plaintext — the

@@ -21,7 +21,8 @@ import (
 // ECALL-issuing enclave layers each carry a measured budget (sampled at
 // every SGX refresh) — under the default plan that is the fused pool layer,
 // whose ECALL applies the activation in front of it, while the act layer
-// keeps its slot with a prediction and nothing measured —, the static
+// keeps its slot with a prediction and nothing measured, and the map crosses
+// coefficient-packed both ways —, the static
 // accountant's prediction is a conservative lower bound on that
 // measurement per layer, and the metrics registry renders the per-layer
 // and budget series as lint-clean Prometheus text — all while the logits
@@ -133,6 +134,13 @@ func TestFlightReportPaperCNN(t *testing.T) {
 		}
 		if l.Transitions <= 0 {
 			t.Errorf("enclave layer %s: no transitions attributed", l.Label)
+		}
+		// The 6×24×24 conv map crosses folded g values to a ciphertext, and
+		// the 864 pooled values come back as the FC's one input.
+		g := engine.PlanInfo()[l.Step].CoeffIn
+		if g < 2 || l.CoeffIn != g || l.CtsIn != 3456 || l.MeasuredCts != (3456+g-1)/g || l.CtsOut != 1 || !l.CoeffTail {
+			t.Errorf("layer %s: plan packs %d values per ciphertext; crossing reports %d, %d values in as %d ciphertexts, %d out (coeff_tail %v)",
+				l.Label, g, l.CoeffIn, l.CtsIn, l.MeasuredCts, l.CtsOut, l.CoeffTail)
 		}
 	}
 	if enclaveLayers != 1 {

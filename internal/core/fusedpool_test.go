@@ -212,6 +212,10 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, engine, ci, img, 0, 2)
+		// Unfused, but a whole-map crossing the crossover rule chose: packed.
+		if p := poolPlan(t, engine); p.CoeffIn < 2 || p.CoeffTail {
+			t.Errorf("pool plan %+v behind a conv: want a packed crossing with scalar outputs for the activation", p)
+		}
 	})
 	t.Run("single ecalls", func(t *testing.T) {
 		cfg := fusedConfig(PoolAuto)
@@ -221,6 +225,10 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, engine, ci, img, 0, 2*12*12+1)
+		// The per-value control group stays per value at the pool, too.
+		if p := poolPlan(t, engine); p.CoeffIn != 0 || p.CoeffTail {
+			t.Errorf("pool plan %+v under SingleECalls: want no coefficient-packed crossing", p)
+		}
 	})
 	t.Run("map under the floor", func(t *testing.T) {
 		// tinyCNN's 2×6×6 map is 72 ciphertexts: planned as a pair, run
@@ -337,9 +345,11 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 
 // TestFusedLayerPredictionIsConservative is the accountant's property on the
 // fused stage: the pool layer carries the stage's one ECALL with the budget
-// the enclave measured on the conv outputs, the plan's prediction for it is
-// the budget entering that ECALL, and prediction ≤ measurement holds in the
-// scalar and the SIMD/lane layout at both parameter tiers.
+// the enclave measured on what entered it — the conv outputs folded g to a
+// ciphertext in the scalar layout, the conv outputs themselves in the SIMD/lane
+// layout, whose slots are taken — the plan's prediction for it is the budget
+// entering that ECALL, and prediction ≤ measurement holds in both layouts at
+// both parameter tiers.
 func TestFusedLayerPredictionIsConservative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=8192 inference skipped in short mode")
@@ -374,13 +384,28 @@ func TestFusedLayerPredictionIsConservative(t *testing.T) {
 				if !pool.Fused || pool.Transitions == 0 || pool.MeasuredBudgetMinBits == nil || pool.PredictedBudgetBits == nil {
 					t.Fatalf("pool layer %+v: want fused with the stage's ECALL, prediction and measurement", pool)
 				}
-				if pool.MeasuredCts != 2*12*12 {
-					t.Errorf("enclave measured %d ciphertexts, want the whole 288-ciphertext conv output", pool.MeasuredCts)
-				}
 				conv := layerOfKind(t, fr, "conv")
-				if *pool.PredictedBudgetBits != *conv.PredictedBudgetBits || *pool.PredictedBudgetBits != plan[pool.Step].PredictedBudgetBits {
-					t.Errorf("fused prediction %.2f bits; want the conv output's %.2f (plan says %.2f)",
-						*pool.PredictedBudgetBits, *conv.PredictedBudgetBits, plan[pool.Step].PredictedBudgetBits)
+				if g := plan[pool.Step].CoeffIn; lanes == 1 {
+					// Scalar layout: the 288 conv outputs cross g to a
+					// ciphertext, predicted at the budget after that fold.
+					if g < 2 || pool.CoeffIn != g || pool.MeasuredCts != (288+g-1)/g {
+						t.Errorf("plan packs %d values per ciphertext; the crossing reports %d and the enclave measured %d ciphertexts, want ⌈288/g⌉",
+							g, pool.CoeffIn, pool.MeasuredCts)
+					}
+					if *pool.PredictedBudgetBits != plan[pool.Step].PredictedBudgetBits || *pool.PredictedBudgetBits >= *conv.PredictedBudgetBits {
+						t.Errorf("packed prediction %.2f bits (plan says %.2f); want the plan's, below the conv output's %.2f",
+							*pool.PredictedBudgetBits, plan[pool.Step].PredictedBudgetBits, *conv.PredictedBudgetBits)
+					}
+				} else {
+					// Lanes hold the slots: one ciphertext per map position,
+					// predicted at the conv output's budget.
+					if pool.CoeffIn != 1 || pool.MeasuredCts != 2*12*12 {
+						t.Errorf("lane crossing reports %d values per ciphertext and measured %d, want the whole 288-ciphertext conv output",
+							pool.CoeffIn, pool.MeasuredCts)
+					}
+					if *pool.PredictedBudgetBits != *conv.PredictedBudgetBits {
+						t.Errorf("fused prediction %.2f bits; want the conv output's %.2f", *pool.PredictedBudgetBits, *conv.PredictedBudgetBits)
+					}
 				}
 				if *pool.PredictedBudgetBits > *pool.MeasuredBudgetMinBits {
 					t.Errorf("prediction %.2f bits exceeds the measured minimum %.2f: the accountant is unsound on the fused stage",
@@ -439,6 +464,9 @@ func TestUnknownActivationKindIsATypedError(t *testing.T) {
 	}
 }
 
+// unpackRequest is a well-formed pool_unpack header for a 1×4×4 map.
+var unpackRequest = nonlinearRequest{InScale: 63, OutScale: 256, Divisor: 4, Width: 4, Height: 4, Channels: 1, Window: 2, Lanes: 4, Act: 1}
+
 // TestFusedRequestsRefused: a fused request that does not describe its
 // batch, has no scale to dequantize by, or rides on an op with no
 // activation stage never reaches a decryption — on pool_full, pool_max and
@@ -494,11 +522,65 @@ func TestFusedRequestsRefused(t *testing.T) {
 		t.Error("sigmoid ECALL accepted a zero in-scale")
 	}
 
+	// The coefficient-packed crossing belongs to the scalar whole-map pools.
+	// Validate refuses its two fields everywhere else; the enclave refuses
+	// them from the header, before the hostile batch behind it is decoded.
+	for _, op := range []NonlinearOp{
+		{Kind: OpSigmoid, InScale: 63, OutScale: 256, CoeffIn: 2},
+		{Kind: OpActivation, InScale: 63, OutScale: 256, Act: 1, CoeffIn: 1},
+		{Kind: OpPoolDivide, Divisor: 4, CoeffIn: 4},
+		{Kind: OpRefresh, CoeffIn: 2},
+		{Kind: OpLanePack, Lanes: 2, CoeffIn: 2},
+		{Kind: OpLaneDemux, Lanes: 2, CoeffIn: 2},
+		{Kind: OpPoolUnpack, Divisor: 4, Lanes: 4, Geometry: geom, CoeffIn: 2},
+		{Kind: OpPoolFull, Geometry: geom, CoeffIn: -1},
+		{Kind: OpPoolFull, Geometry: geom, SIMD: true, CoeffIn: 2},
+		{Kind: OpPoolMax, Geometry: geom, SIMD: true, CoeffOut: true},
+		{Kind: OpSigmoid, InScale: 63, OutScale: 256, CoeffOut: true},
+	} {
+		if err := op.Validate(); err == nil {
+			t.Errorf("%s (SIMD %v) with CoeffIn %d, CoeffOut %v passed Validate", op.Kind, op.SIMD, op.CoeffIn, op.CoeffOut)
+		}
+		if _, err := s.svc.Nonlinear(ctx, op, ci.CTs[:16]); err == nil {
+			t.Errorf("%s (SIMD %v) with CoeffIn %d, CoeffOut %v crossed the boundary", op.Kind, op.SIMD, op.CoeffIn, op.CoeffOut)
+		}
+	}
+	pool := nonlinearRequest{InScale: 63, OutScale: 256, Divisor: 1, Width: 4, Height: 4, Channels: 1, Window: 2, Act: 1}
+	withPool := func(edit func(*nonlinearRequest)) nonlinearRequest {
+		req := pool
+		edit(&req)
+		return req
+	}
+	for name, tc := range map[string]struct {
+		req  nonlinearRequest
+		says string
+	}{
+		"g > n":             {withPool(func(r *nonlinearRequest) { r.CoeffIn = 2049 }), "2049 values per ciphertext exceed 2048"},
+		"g with SIMD":       {withPool(func(r *nonlinearRequest) { r.CoeffIn, r.SIMD = 2, 1 }), "but this batch (SIMD 1) holds one"},
+		"count != ⌈chw/g⌉":  {withPool(func(r *nonlinearRequest) { r.CoeffIn = 3 }), "does not hold the 6 ciphertexts"},
+		"count != chw":      {pool, "does not hold the 16 ciphertexts"},
+		"coefficients > n":  {withPool(func(r *nonlinearRequest) { r.Channels, r.CoeffOut = 513, 1 }), "pooled map 513x2x2 exceeds 2048 plaintext coefficients"},
+		"CoeffOut and SIMD": {withPool(func(r *nonlinearRequest) { r.CoeffOut, r.SIMD = 1, 1 }), "no coefficient-packed output"},
+	} {
+		for _, ecall := range []string{ECallPoolFull, ECallPoolMax} {
+			if _, err := s.svc.Enclave().ECall(ecall, hostileEnvelope(tc.req)); err == nil || !strings.Contains(err.Error(), tc.says) {
+				t.Errorf("%s %s: error %v, want a refusal saying %q before the batch is decoded", ecall, name, err, tc.says)
+			}
+		}
+	}
+	for _, ecall := range []string{ECallSigmoid, ECallActivation, ECallPoolDivide, ECallPoolUnpack} {
+		req := unpackRequest
+		req.CoeffIn = 2
+		if _, err := s.svc.Enclave().ECall(ecall, hostileEnvelope(req)); err == nil || !strings.Contains(err.Error(), "but this batch (SIMD 0) holds one") {
+			t.Errorf("%s with 2 values per ciphertext: error %v, want the layout refusal", ecall, err)
+		}
+	}
+
 	// pool_unpack takes the same activation fields and refuses the same
 	// faults, plus those of its own geometry — all of them from the header
 	// alone: the hostile batch behind it claims 2^32−1 ciphertexts and would
 	// fail to decode.
-	unpack := nonlinearRequest{InScale: 63, OutScale: 256, Divisor: 4, Width: 4, Height: 4, Channels: 1, Window: 2, Lanes: 4, Act: 1}
+	unpack := unpackRequest
 	with := func(edit func(*nonlinearRequest)) nonlinearRequest {
 		req := unpack
 		edit(&req)

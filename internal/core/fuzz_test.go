@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hesgx/internal/he"
+	"hesgx/internal/nn"
 	"hesgx/internal/ring"
 )
 
@@ -89,6 +90,65 @@ func FuzzUnmarshalCipherImageAuto(f *testing.F) {
 			if verr := ct.Validate(); verr != nil {
 				t.Fatalf("accepted ciphertext %d fails validation: %v", i, verr)
 			}
+		}
+	})
+}
+
+// FuzzPoolEnvelope feeds arbitrary bytes to the three whole-map pool ECALLs of
+// a zero-cost enclave. The untrusted host writes every byte of the envelope —
+// geometry, values per ciphertext, output layout — and of the batch behind it,
+// and the process has no recover(): any input must come back as an error or a
+// reply, never a panic.
+func FuzzPoolEnvelope(f *testing.F) {
+	svc := packedTestService(f, 53)
+	params := svc.Params()
+	enc, err := he.NewEncryptor(svc.PublicKey(), ring.NewSeededSource(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var cts []*he.Ciphertext
+	for v := uint64(0); v < 4; v++ {
+		ct, err := enc.EncryptScalar(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cts = append(cts, ct)
+	}
+	envelope := func(req nonlinearRequest, cts []*he.Ciphertext) []byte {
+		b, err := req.marshalWithBatch(cts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return bytes.Clone(b)
+	}
+	base := nonlinearRequest{InScale: 63, OutScale: 256, Divisor: 4, Width: 2, Height: 2, Channels: 1, Window: 2}
+	perValue := envelope(base, cts)
+	f.Add(uint8(0), perValue)
+	f.Add(uint8(1), perValue)
+	coeff := base
+	coeff.CoeffIn, coeff.CoeffOut, coeff.Act = 4, 1, uint32(nn.ReLU)
+	f.Add(uint8(0), envelope(coeff, cts[:1]))
+	coeff.CoeffIn = uint32(params.N) + 1
+	f.Add(uint8(1), envelope(coeff, cts[:1]))
+	unpack := base
+	unpack.Lanes, unpack.CoeffOut = 2, 1
+	f.Add(uint8(2), envelope(unpack, cts[:1]))
+	f.Add(uint8(2), hostileEnvelope(unpackRequest))
+	f.Add(uint8(0), perValue[:nonlinearRequestHeaderSize+3])
+	f.Add(uint8(1), []byte{})
+
+	ecalls := []string{ECallPoolFull, ECallPoolMax, ECallPoolUnpack}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		out, err := svc.Enclave().ECall(ecalls[int(which)%len(ecalls)], data)
+		if err != nil {
+			return
+		}
+		rep, err := unmarshalNonlinearReply(out)
+		if err != nil {
+			t.Fatalf("accepted request produced an unreadable reply: %v", err)
+		}
+		if _, err := decodeCiphertextBatch(rep.CTs, params); err != nil {
+			t.Fatalf("accepted request produced an undecodable batch: %v", err)
 		}
 	})
 }

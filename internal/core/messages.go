@@ -220,15 +220,20 @@ type nonlinearRequest struct {
 	// Lanes is the lane count for lane pack/demux calls: how many scalar
 	// ciphertext groups map onto the slots of each packed ciphertext.
 	Lanes uint32
-	// CoeffOut selects pool-unpack's coefficient-packed output layout: one
-	// ciphertext carrying pooled value i at plaintext coefficient i.
+	// CoeffOut selects a whole-map pool's coefficient-packed output layout:
+	// one ciphertext carrying pooled value i at plaintext coefficient i.
 	CoeffOut uint32
-	CTs      []byte
+	// CoeffIn is how many map values each input ciphertext of a scalar-layout
+	// whole-map pool carries, flat channel-major value i at coefficient
+	// i mod CoeffIn of ciphertext i div CoeffIn (0 reads as 1: one value per
+	// ciphertext, at the constant coefficient).
+	CoeffIn uint32
+	CTs     []byte
 }
 
 // nonlinearRequestHeaderSize is the fixed envelope ahead of the batch:
-// three u64 scales, eight u32 fields, and the u32 payload length.
-const nonlinearRequestHeaderSize = 3*8 + 8*4 + 4
+// three u64 scales, nine u32 fields, and the u32 payload length.
+const nonlinearRequestHeaderSize = 3*8 + 9*4 + 4
 
 // writeHeader emits the fixed request envelope declaring ctLen payload
 // bytes to follow.
@@ -244,6 +249,7 @@ func (m *nonlinearRequest) writeHeader(buf *bytes.Buffer, ctLen uint32) {
 	writeU32(buf, m.Act)
 	writeU32(buf, m.Lanes)
 	writeU32(buf, m.CoeffOut)
+	writeU32(buf, m.CoeffIn)
 	writeU32(buf, ctLen)
 }
 
@@ -283,7 +289,7 @@ func unmarshalNonlinearRequest(b []byte) (*nonlinearRequest, error) {
 	if m.Divisor, err = readU64(r); err != nil {
 		return nil, fmt.Errorf("core: request divisor: %w", err)
 	}
-	for _, dst := range []*uint32{&m.Width, &m.Height, &m.Channels, &m.Window, &m.SIMD, &m.Act, &m.Lanes, &m.CoeffOut} {
+	for _, dst := range []*uint32{&m.Width, &m.Height, &m.Channels, &m.Window, &m.SIMD, &m.Act, &m.Lanes, &m.CoeffOut, &m.CoeffIn} {
 		if *dst, err = readU32(r); err != nil {
 			return nil, fmt.Errorf("core: request geometry: %w", err)
 		}

@@ -30,10 +30,13 @@ const (
 	// fused enclave stage: the batch is a linear layer's output, and the
 	// enclave applies that activation (InScale → OutScale) to the decrypted
 	// integers before pooling them — the activation ECALL in front of the
-	// pool, without its boundary crossing or its re-encryption.
+	// pool, without its boundary crossing or its re-encryption. In the scalar
+	// layout the map may cross coefficient-packed in both directions: CoeffIn
+	// values per input ciphertext, and with CoeffOut one output ciphertext
+	// (pooled value i at coefficient i, as on OpPoolUnpack).
 	OpPoolFull
 	// OpPoolMax max-pools inside the enclave (not expressible under HE).
-	// Requires Geometry; Act fuses a preceding activation as for OpPoolFull.
+	// Requires Geometry; Act, CoeffIn and CoeffOut as for OpPoolFull.
 	OpPoolMax
 	// OpRefresh decrypts and re-encrypts, resetting noise (§IV-E).
 	OpRefresh
@@ -147,10 +150,17 @@ type NonlinearOp struct {
 	// Lanes is the lane count for OpLanePack/OpLaneDemux: how many scalar
 	// ciphertext groups share each slot-packed ciphertext.
 	Lanes int
-	// CoeffOut asks OpPoolUnpack for the coefficient-packed output layout
-	// (one ciphertext, value i at coefficient i) instead of one scalar
-	// ciphertext per pooled value.
+	// CoeffOut asks OpPoolUnpack — or a scalar-layout OpPoolFull/OpPoolMax —
+	// for the coefficient-packed output layout (one ciphertext, value i at
+	// coefficient i) instead of one scalar ciphertext per pooled value.
 	CoeffOut bool
+	// CoeffIn is how many map values share each input ciphertext of a
+	// scalar-layout OpPoolFull/OpPoolMax: flat channel-major value i sits at
+	// coefficient i mod CoeffIn of ciphertext i div CoeffIn, so the batch
+	// holds ⌈Channels·Height·Width/CoeffIn⌉ ciphertexts. 0 reads as 1, one
+	// value per ciphertext at the constant coefficient, and is the only value
+	// every other op — and a SIMD batch, whose slots are in use — may carry.
+	CoeffIn int
 }
 
 // ErrActivationKind marks an activation kind outside nn.Sigmoid…nn.Square.
@@ -168,8 +178,12 @@ func checkActKind(kind int) error {
 // Validate checks the op is internally consistent before it crosses the
 // enclave boundary.
 func (op NonlinearOp) Validate() error {
-	if op.CoeffOut && op.Kind != OpPoolUnpack {
-		return fmt.Errorf("core: %s op has no coefficient-packed output", op.Kind)
+	scalarPool := (op.Kind == OpPoolFull || op.Kind == OpPoolMax) && !op.SIMD
+	if op.CoeffOut && op.Kind != OpPoolUnpack && !scalarPool {
+		return fmt.Errorf("core: %s op (SIMD %v) has no coefficient-packed output", op.Kind, op.SIMD)
+	}
+	if op.CoeffIn < 0 || (op.CoeffIn != 0 && !scalarPool) {
+		return fmt.Errorf("core: %s op (SIMD %v) takes no coefficient-packed input, but carries %d values per ciphertext", op.Kind, op.SIMD, op.CoeffIn)
 	}
 	switch {
 	case op.Act == 0:
@@ -255,6 +269,7 @@ func (op NonlinearOp) request(ctBytes []byte) *nonlinearRequest {
 		Width:    uint32(op.Geometry.Width),
 		Window:   uint32(op.Geometry.Window),
 		Lanes:    uint32(op.Lanes),
+		CoeffIn:  uint32(op.CoeffIn),
 		CTs:      ctBytes,
 	}
 	if op.SIMD {

@@ -144,7 +144,9 @@ func planPacked(params he.Parameters, steps []*planStep, slotCapable bool) (*pac
 		p.poolBudgetBits = params.FreshNoiseBound().BudgetBits()
 	}
 	p.fcBudgetBits, p.coeffTailReason = planCoeffTail(params, steps, p.prefix)
-	p.coeffTail = p.coeffTailReason == ""
+	if p.coeffTail = p.coeffTailReason == ""; p.coeffTail {
+		steps[p.prefix+1].coeffRows = true
+	}
 	return p, ""
 }
 

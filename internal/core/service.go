@@ -62,8 +62,11 @@ func (s *EnclaveService) Nonlinear(ctx context.Context, op NonlinearOp, cts []*h
 		span.Arg("error", 1).End()
 		return nil, err
 	}
-	span.Arg("cts", float64(len(cts))).
-		Arg("transitions", float64(cs.Transitions())).
+	span.Arg("cts", float64(len(cts)))
+	if op.CoeffIn > 0 {
+		span.Arg("coeff_in", float64(op.CoeffIn))
+	}
+	span.Arg("transitions", float64(cs.Transitions())).
 		Arg("page_faults", float64(cs.PageFaults)).
 		Arg("overhead_ms", durMS(cs.Overhead)).
 		Arg("compute_ms", durMS(cs.Compute))

@@ -179,7 +179,7 @@ func TestRenderIncidentFusedPair(t *testing.T) {
 		{"step": 0, "kind": "conv", "label": "00_conv", "wall_ms": 400},
 		{"step": 1, "kind": "act", "label": "01_act", "wall_ms": 0.01, "fused": true},
 		{"step": 2, "kind": "pool", "label": "02_pool", "wall_ms": 2000, "fused": true,
-		 "transitions": 2, "page_faults": 45379, "measured_budget_min_bits": 21.5}]}]`
+		 "cts_in": 3456, "coeff_in": 650, "transitions": 2, "page_faults": 45379, "measured_budget_min_bits": 21.5}]}]`
 	b, err := ReadBundle(bytes.NewReader(makeBundle(t, [][2]string{{"reports.json", reports}})))
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestRenderIncidentFusedPair(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fused: applied inside 02_pool's ECALL",
-		"page_faults 45379  budget_min 21.50 bits  fused: one ECALL applies 01_act, then pools",
+		"page_faults 45379  budget_min 21.50 bits  fused: one ECALL applies 01_act, then pools  coeff_in 650 (3456 values crossed in 6 cts)",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("incident report missing %q:\n%s", want, out.String())

@@ -226,6 +226,10 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 		case l.Fused && i > 0:
 			bw.printf("  fused: one ECALL applies %s, then pools", worst.Layers[i-1].Label)
 		}
+		// A planner-owned pool crossing folds its map before the ECALL.
+		if l.CoeffIn > 0 {
+			bw.printf("  coeff_in %d (%d values crossed in %d cts)", l.CoeffIn, l.CtsIn, (l.CtsIn+l.CoeffIn-1)/l.CoeffIn)
+		}
 		bw.printf("\n")
 	}
 }

@@ -576,3 +576,31 @@ func (ev *Evaluator) MulScalarAddInto(acc, ct *Ciphertext, k uint64) error {
 	}
 	return nil
 }
+
+// MulMonomialAddInto computes acc += X^k·ct in place for 0 ≤ k < n: both
+// polynomials of ct are shifted negacyclically, which needs no key and no
+// transform and leaves the noise norm of ct unchanged (a signed permutation
+// of its coefficients). Plaintext coefficient j of ct lands on j+k, negated
+// when it wraps past n. The engine uses it to fold scalar ciphertexts — value
+// at coefficient 0 — into coefficient-packed ones. A monomial is a pointwise
+// vector in evaluation form, not a shift, so both operands must be in
+// coefficient form.
+func (ev *Evaluator) MulMonomialAddInto(acc, ct *Ciphertext, k int) error {
+	if err := ev.check(acc, ct); err != nil {
+		return err
+	}
+	if err := checkCoeff("MulMonomialAddInto", acc, ct); err != nil {
+		return err
+	}
+	if acc.Size() != ct.Size() {
+		return fmt.Errorf("he: MulMonomialAddInto size mismatch %d vs %d", acc.Size(), ct.Size())
+	}
+	if k < 0 || k >= ev.params.N {
+		return fmt.Errorf("he: monomial degree %d outside [0, %d)", k, ev.params.N)
+	}
+	r := ev.params.Ring()
+	for i := range ct.Polys {
+		r.MulMonomialAdd(ct.Polys[i], k, acc.Polys[i])
+	}
+	return nil
+}

@@ -66,6 +66,17 @@ func (b NoiseBound) AddPlain() NoiseBound {
 	return b
 }
 
+// PackCoefficients bounds acc = Σ_{i<g} X^i·ctᵢ over g scalar ciphertexts
+// (plaintext at coefficient 0) each bounded by b — the fold in front of a
+// coefficient-packed enclave crossing. A monomial shift permutes the noise
+// coefficients up to sign, so each term still contributes w; a constant moved
+// to coefficient i < n never wraps, and the g−1 additions may each wrap once,
+// as in Add: g·w + (g−1)·r. One ciphertext is unchanged.
+func (b NoiseBound) PackCoefficients(g int) NoiseBound {
+	b.w = float64(g)*b.w + float64(g-1)*b.lift()
+	return b
+}
+
 // MulScalar bounds multiplication by a constant-coefficient plaintext whose
 // centered value has magnitude absK (the scalar fast path): the noise
 // scales by |k| and the Δ-approximation error Δ·t − q·⌊Δ⌋-style residue

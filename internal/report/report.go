@@ -45,11 +45,16 @@ type Layer struct {
 	// each. Zero on scalar-layout layers.
 	KeySwitchOps     int `json:"keyswitch_ops,omitempty"`
 	HoistedRotations int `json:"hoisted_rotations,omitempty"`
-	// CoeffTail is set on the pool and FC layers of a slot-packed request
-	// that ran the coefficient-packed tail (pool-unpack emitted one
+	// CoeffTail is set on a pool layer and the FC behind it when the request
+	// ran the coefficient-packed tail (the pool's ECALL emitted one
 	// ciphertext, the FC multiplied it by whole-row operands); false there
-	// means the scalar unpack ran.
+	// means the pool emitted one scalar ciphertext per value.
 	CoeffTail bool `json:"coeff_tail,omitempty"`
+	// CoeffIn is set on a scalar-layout pool layer whose whole-map crossing
+	// the planner owns: how many map values shared each ciphertext entering
+	// its ECALL (CtsIn values crossed as ⌈CtsIn/CoeffIn⌉ ciphertexts; 1 is
+	// the per-value batch — a lane request, or no budget for more).
+	CoeffIn int `json:"coeff_in,omitempty"`
 	// Fused marks the two halves of an activation+pool pair the planner
 	// merged into one enclave stage. The act layer issued no ECALL (no
 	// transitions, no measured budget, ~0 ms); the pool layer behind it
@@ -203,6 +208,9 @@ func FromTrace(tr *trace.Trace) *FlightReport {
 			}
 			if v, ok := argVal(s, "coeff_tail"); ok {
 				l.CoeffTail = v != 0
+			}
+			if v, ok := argVal(s, "coeff_in"); ok {
+				l.CoeffIn = int(v)
 			}
 			if v, ok := argVal(s, "fused"); ok {
 				l.Fused = v != 0

@@ -209,6 +209,22 @@ func (r *Ring) MulScalarAdd(a Poly, c uint64, out Poly) {
 	}
 }
 
+// MulMonomialAdd sets out += X^k·a for 0 ≤ k < n in coefficient form: a
+// negacyclic shift, so coefficient j of a lands on j+k, and wraps past n with
+// its sign flipped (X^n = −1). No multiplication and no transform.
+func (r *Ring) MulMonomialAdd(a Poly, k int, out Poly) {
+	mod := r.Mod
+	split := len(a.Coeffs) - k
+	hi := out.Coeffs[k:]
+	for j, v := range a.Coeffs[:split] {
+		hi[j] = mod.Add(hi[j], v)
+	}
+	lo := out.Coeffs[:k]
+	for j, v := range a.Coeffs[split:] {
+		lo[j] = mod.Sub(lo[j], v)
+	}
+}
+
 // NTT transforms a into the evaluation domain in place.
 func (r *Ring) NTT(a Poly) {
 	r.nttForward.Add(1)
