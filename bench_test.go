@@ -596,8 +596,8 @@ func BenchmarkFig8PureHEPerModulus(b *testing.B) {
 
 // --- Ablations ---
 
-// BenchmarkAblationMulSchoolbook vs MulNTTCRT: the exact tensor step of
-// ciphertext multiplication, reference vs fast path.
+// BenchmarkAblationMulSchoolbook vs BenchmarkAblationMulRNS: the exact tensor
+// step of ciphertext multiplication, reference vs the RNS multiply.
 func BenchmarkAblationMulSchoolbook(b *testing.B) {
 	f := getFixture(b)
 	slow, err := he.NewEvaluator(f.params, he.WithSchoolbookTensor())
@@ -615,29 +615,8 @@ func BenchmarkAblationMulSchoolbook(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMulNTTCRT pins the u128 NTT+CRT tensor path (the PR 2
-// fast path, now the correctness oracle) so the three-way ablation —
-// schoolbook vs u128 NTT+CRT vs RNS limbs — stays measurable after the RNS
-// rewrite made word-size limbs the default.
-func BenchmarkAblationMulNTTCRT(b *testing.B) {
-	f := getFixture(b)
-	oracle, err := he.NewEvaluator(f.params.WithTensorOracle())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, _ := f.enc.EncryptScalar(2)
-	y, _ := f.enc.EncryptScalar(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := oracle.Mul(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationMulRNS is the default path after PR 8: the RNS
-// modulus-chain tensor multiply over word-size limbs.
+// BenchmarkAblationMulRNS is the evaluator's multiply: the RNS modulus-chain
+// tensor product over word-size limbs.
 func BenchmarkAblationMulRNS(b *testing.B) {
 	f := getFixture(b)
 	x, _ := f.enc.EncryptScalar(2)
@@ -690,8 +669,9 @@ func benchmarkRelinBase(b *testing.B, baseBits int) {
 func BenchmarkAblationRelinBaseW16(b *testing.B) { benchmarkRelinBase(b, 16) }
 func BenchmarkAblationRelinBaseW2(b *testing.B)  { benchmarkRelinBase(b, 2) }
 
-// BenchmarkAblationScalarVsTruePlainMul compares the constant-coefficient
-// fast path against the full C×P product for weight multiplication.
+// BenchmarkAblationWeightMul{Scalar,TrueCxP} compare the constant-coefficient
+// weight multiplication the linear kernels run against the full C×P product
+// of the paper's SEAL-encoder pipeline, on the evaluator directly.
 func BenchmarkAblationWeightMulScalar(b *testing.B) {
 	f := getFixture(b)
 	ct, _ := f.enc.EncryptScalar(2)
@@ -1014,87 +994,6 @@ func BenchmarkConcurrentServing32Direct(b *testing.B)  { benchmarkConcurrentServ
 func BenchmarkConcurrentServing32Batched(b *testing.B) { benchmarkConcurrentServing(b, 32, true) }
 func BenchmarkConcurrentServing64Batched(b *testing.B) { benchmarkConcurrentServing(b, 64, true) }
 
-// --- PR 3: linear-layer hot path (coefficient reference vs NTT-resident) ---
-
-// benchmarkLinearLayer runs one TruePlainMul linear layer of the paper's
-// CNN end to end through the hybrid engine, reporting NTTs/op from the
-// ring's transform counters. disableResidency toggles the evaluation-form
-// hot path against the per-product NTT reference path; the two produce
-// bit-identical ciphertexts (see internal/core/nttresident_test.go).
-func benchmarkLinearLayer(b *testing.B, fcLayer, disableResidency bool) {
-	params, err := core.DefaultHybridParameters()
-	if err != nil {
-		b.Fatal(err)
-	}
-	platform, err := sgx.NewPlatform(sgx.ZeroCost(), sgx.WithJitterSeed(50))
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc, err := core.NewEnclaveService(platform, params, core.WithKeySource(ring.NewSeededSource(51)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewPCG(52, 53))
-	var model *nn.Network
-	var img *nn.Tensor
-	if fcLayer {
-		// The paper CNN's fully connected layer: 6*12*12 -> 10.
-		model = nn.NewNetwork(&nn.Flatten{}, nn.NewFullyConnected(6*12*12, 10, rng))
-		img = nn.NewTensor(6, 12, 12)
-	} else {
-		// The paper CNN's convolution: 1 -> 6 channels, 5x5, on 28x28.
-		model = nn.NewNetwork(nn.NewConv2D(1, 6, 5, 1, rng))
-		img = nn.NewTensor(1, 28, 28)
-	}
-	for i := range img.Data {
-		img.Data[i] = rng.Float64()
-	}
-	cfg := core.DefaultConfig()
-	engineOpts := []core.EngineOption{core.WithTruePlainMul(true)}
-	if disableResidency {
-		engineOpts = append(engineOpts, core.WithoutNTTResidency())
-	}
-	engine, err := core.NewEngine(svc, model, engineOpts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := engine.EncodeWeights(); err != nil {
-		b.Fatal(err)
-	}
-	client, err := core.NewClient()
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload, err := svc.ProvisionKeys(client.ECDHPublicKey())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := client.InstallProvisionPayload(payload); err != nil {
-		b.Fatal(err)
-	}
-	ci, err := client.EncryptImages([]*nn.Tensor{img}, cfg.PixelScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := params.Ring()
-	b.ReportAllocs()
-	b.ResetTimer()
-	fwd0, inv0 := r.NTTCounts()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Infer(ci); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fwd1, inv1 := r.NTTCounts()
-	b.ReportMetric(float64((fwd1-fwd0)+(inv1-inv0))/float64(b.N), "NTTs/op")
-}
-
-func BenchmarkConvLayerCoeff(b *testing.B)       { benchmarkLinearLayer(b, false, true) }
-func BenchmarkConvLayerNTTResident(b *testing.B) { benchmarkLinearLayer(b, false, false) }
-func BenchmarkFCLayerCoeff(b *testing.B)         { benchmarkLinearLayer(b, true, true) }
-func BenchmarkFCLayerNTTResident(b *testing.B)   { benchmarkLinearLayer(b, true, false) }
-
 // --- Wire serialization (v2 formats) ---
 
 // benchWireImages builds one 28×28 single-channel cipher image in both
@@ -1187,20 +1086,15 @@ func BenchmarkCipherImageDecode(b *testing.B) {
 	})
 }
 
-// --- PR 8: RNS modulus-chain tensor multiply (word-size limbs vs u128) ---
+// --- RNS modulus-chain tensor multiply ---
 
 // buildMulBench wires keys, an evaluator, and two scalar ciphertexts at
-// ring degree n. With oracle set, the evaluator runs the u128 NTT+CRT
-// tensor path (the pre-PR 8 fast path, kept as the correctness oracle);
-// otherwise it runs the default RNS modulus chain.
-func buildMulBench(b *testing.B, n int, oracle bool) (*he.Evaluator, *he.EvaluationKeys, *he.Ciphertext, *he.Ciphertext) {
+// ring degree n.
+func buildMulBench(b *testing.B, n int) (*he.Evaluator, *he.EvaluationKeys, *he.Ciphertext, *he.Ciphertext) {
 	b.Helper()
 	params, err := he.DefaultParameters(n, 4)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if oracle {
-		params = params.WithTensorOracle()
 	}
 	kg, err := he.NewKeyGenerator(params, ring.NewSeededSource(90))
 	if err != nil {
@@ -1225,62 +1119,15 @@ func buildMulBench(b *testing.B, n int, oracle bool) (*he.Evaluator, *he.Evaluat
 		b.Fatal(err)
 	}
 	// Warm the lazy tensor backend (RNS prime-chain search and bound
-	// proofs, or the oracle's CRT ring) outside the timed window.
+	// proofs) outside the timed window.
 	if _, err := eval.Mul(x, y); err != nil {
 		b.Fatal(err)
 	}
 	return eval, ek, x, y
 }
 
-// BenchmarkMulRNSvsU128 is the tentpole's headline number: the ciphertext
-// tensor multiply at the SIMD serving tier (n = 2048), RNS word-size limbs
-// vs the u128 NTT+CRT path, interleaved in one process so both phases see
-// the same thermal and GC conditions. The asserted ≥2× keeps the rewrite's
-// win from regressing silently; the absolute values land in BENCH_PR8.json
-// and the benchdiff floor gate re-asserts the 2× on every regression run.
-func BenchmarkMulRNSvsU128(b *testing.B) {
-	rns, _, rx, ry := buildMulBench(b, 2048, false)
-	u128, _, ux, uy := buildMulBench(b, 2048, true)
-	b.ResetTimer()
-	// Interleave the two paths so clock drift hits both equally, and take
-	// the per-iteration minimum for each: scheduler noise on a shared box
-	// only ever inflates a sample, so min-of-N estimates the true cost of
-	// each path far more robustly than the mean.
-	rnsMin, u128Min := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := rns.Mul(rx, ry); err != nil {
-			b.Fatal(err)
-		}
-		if d := time.Since(start); d < rnsMin {
-			rnsMin = d
-		}
-		start = time.Now()
-		if _, err := u128.Mul(ux, uy); err != nil {
-			b.Fatal(err)
-		}
-		if d := time.Since(start); d < u128Min {
-			u128Min = d
-		}
-	}
-	b.StopTimer()
-	rnsNs := float64(rnsMin.Nanoseconds())
-	u128Ns := float64(u128Min.Nanoseconds())
-	speedup := u128Ns / rnsNs
-	b.ReportMetric(rnsNs, "rns_ns/op")
-	b.ReportMetric(u128Ns, "u128_ns/op")
-	b.ReportMetric(speedup, "speedup_x")
-	// The harness probes every benchmark with b.N=1 before the measured run;
-	// a single-sample minimum is pure scheduler noise, so only enforce the
-	// floor once enough iterations back the estimate.
-	if b.N >= 10 && speedup < 2 {
-		b.Errorf("RNS multiply speedup %.2fx below the 2x acceptance floor (u128 %.0f ns/op, rns %.0f ns/op)",
-			speedup, u128Ns, rnsNs)
-	}
-}
-
 func benchmarkMulRNS(b *testing.B, n int) {
-	eval, _, x, y := buildMulBench(b, n, false)
+	eval, _, x, y := buildMulBench(b, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1291,7 +1138,7 @@ func benchmarkMulRNS(b *testing.B, n int) {
 }
 
 func benchmarkRelinRNS(b *testing.B, n int) {
-	eval, ek, x, y := buildMulBench(b, n, false)
+	eval, ek, x, y := buildMulBench(b, n)
 	prod, err := eval.Mul(x, y)
 	if err != nil {
 		b.Fatal(err)
@@ -1305,8 +1152,6 @@ func benchmarkRelinRNS(b *testing.B, n int) {
 	}
 }
 
-// The n = 8192 tier exists only on the RNS path: the u128 tensor rejects it
-// (the i128 accumulator bound n·(q/2)² overflows at that degree).
 func BenchmarkMulRNS2048(b *testing.B)   { benchmarkMulRNS(b, 2048) }
 func BenchmarkMulRNS8192(b *testing.B)   { benchmarkMulRNS(b, 8192) }
 func BenchmarkRelinRNS2048(b *testing.B) { benchmarkRelinRNS(b, 2048) }

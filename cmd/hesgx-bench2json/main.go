@@ -1,11 +1,11 @@
 // Command hesgx-bench2json converts `go test -bench` output into a stable
 // JSON document so benchmark runs can be checked in and diffed across PRs.
 // It understands the standard ns/op, B/op, and allocs/op columns as well as
-// custom b.ReportMetric units such as NTTs/op.
+// custom b.ReportMetric units such as bytes/image.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Benchmark(Conv|FC)Layer' . | hesgx-bench2json -o BENCH_PR3.json
+//	go test -run '^$' -bench 'BenchmarkCipherImage' . | hesgx-bench2json -o BENCH_PR4.json
 //
 // With no -o flag the JSON is written to stdout. Non-benchmark lines (goos,
 // goarch, pkg, cpu, PASS, ok) are captured as metadata or ignored.

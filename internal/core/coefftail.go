@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hesgx/internal/he"
+	"hesgx/internal/linear"
 	"hesgx/internal/ring"
 )
 
@@ -96,15 +97,21 @@ func (e *HybridEngine) runFCCoeff(s *planStep, in []*he.Ciphertext, values, work
 	if values != q.In {
 		return nil, fmt.Errorf("coefficient-packed fc input carries %d values, want %d", values, q.In)
 	}
-	x := e.toNTTInputs(in, 1)[0]
+	// ToNTT converts in place, so it runs on a copy, rebound to the engine's
+	// parameter instance: the transform then uses the engine ring's scratch
+	// pools and NTT counters (a decoded ciphertext carries an equal but
+	// distinct ring).
+	x := in[0].Copy()
+	x.Params = e.params
+	x.ToNTT()
 	out := make([]*he.Ciphertext, q.Out)
-	err := parallelFor(q.Out, workers, func(o int) error {
+	err := linear.ParallelFor(q.Out, workers, func(o int) error {
 		ct, err := e.eval.MulPlainOperand(x, s.fcRowOps[o])
 		if err != nil {
 			return err
 		}
 		ct.ToCoeff()
-		if err := e.eval.AddPlainInto(ct, e.maskedBias(s.fcBias[o])); err != nil {
+		if err := e.eval.AddPlainInto(ct, e.maskedBias(s.bias[o])); err != nil {
 			return err
 		}
 		out[o] = ct

@@ -434,12 +434,6 @@ func TestHybridInferenceSGXDivStrategy(t *testing.T) {
 	hybridEndToEnd(t, cfg, 13)
 }
 
-func TestHybridInferenceTruePlainMul(t *testing.T) {
-	cfg := testConfig()
-	cfg.TruePlainMul = true
-	hybridEndToEnd(t, cfg, 14)
-}
-
 func TestHybridInferenceSingleECalls(t *testing.T) {
 	cfg := testConfig()
 	cfg.SingleECalls = true

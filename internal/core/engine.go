@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"time"
 
 	"hesgx/internal/encoding"
 	"hesgx/internal/he"
+	"hesgx/internal/linear"
 	"hesgx/internal/nn"
 	"hesgx/internal/ring"
 	"hesgx/internal/stats"
@@ -84,20 +86,6 @@ type Config struct {
 	// SingleECalls switches activation calls to one ECALL per value — the
 	// EncryptSGX(single) control group of Fig. 8.
 	SingleECalls bool
-	// TruePlainMul forces full polynomial ciphertext×plaintext products
-	// for weight multiplications, as the paper's SEAL-encoder pipeline
-	// does. When false, the engine uses the mathematically identical
-	// constant-coefficient fast path. Benchmarks that quantify C×P costs
-	// set this; tests and services keep the fast path.
-	TruePlainMul bool
-	// DisableNTTResidency turns off the evaluation-form hot path for
-	// TruePlainMul linear layers, forcing the per-product
-	// NTT→pointwise→INTT reference path instead. The two paths are
-	// bit-identical (the inverse NTT is linear mod q); this switch exists
-	// for ablation benchmarks and equivalence tests. It has no effect when
-	// TruePlainMul is false — the scalar fast path performs no NTTs to
-	// eliminate.
-	DisableNTTResidency bool
 	// SIMD runs the pipeline over slot-packed ciphertexts: one engine pass
 	// processes a whole batch of images (§VIII). Requires a
 	// batching-capable plaintext modulus (prime t ≡ 1 mod 2n) and images
@@ -155,15 +143,13 @@ type planStep struct {
 
 	conv *nn.QuantizedConv
 	fc   *nn.QuantizedFC
-	// prepared weight operands (lazily built by EncodeWeights)
-	convOps []*he.PlainOperand // indexed like conv.W
-	fcOps   []*he.PlainOperand
-	// fcRowOps holds one whole-row operand per FC output for the packed
-	// path's coefficient tail (nil unless the plan chose it for this step).
+	// fcRowOps holds one whole-row operand per FC output for the coefficient
+	// tail (nil unless a plan chose it for this step); built by EncodeWeights.
 	fcRowOps []*he.PlainOperand
-	// biasScaled holds biases pre-encoded as plaintexts.
-	convBias []*he.Plaintext
-	fcBias   []*he.Plaintext
+	// bias holds the conv or FC step's biases pre-encoded as plaintexts
+	// (built by EncodeWeights). Weights need no encoding: the scalar kernels
+	// multiply them in as constants.
+	bias []*he.Plaintext
 
 	act    nn.ActKind
 	window int
@@ -498,12 +484,13 @@ func (e *HybridEngine) encodeAllWeights() error {
 	for _, s := range e.steps {
 		switch s.kind {
 		case stepConv:
-			if err := e.encodeConvStep(s); err != nil {
-				return err
-			}
+			s.bias = linear.EncodeBias(e.scalar, s.conv.B)
 		case stepFC:
-			if err := e.encodeFCStep(s); err != nil {
-				return err
+			s.bias = linear.EncodeBias(e.scalar, s.fc.B)
+			if s.coeffRows {
+				if err := e.encodeFCRows(s); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -523,45 +510,6 @@ func (e *HybridEngine) EncodedWeightCount() int {
 		}
 	}
 	return total
-}
-
-func (e *HybridEngine) encodeConvStep(s *planStep) error {
-	if e.cfg.TruePlainMul {
-		s.convOps = make([]*he.PlainOperand, len(s.conv.W))
-		for i, w := range s.conv.W {
-			op, err := e.eval.PrepareOperand(e.scalar.Encode(w))
-			if err != nil {
-				return fmt.Errorf("core: encoding conv weight %d: %w", i, err)
-			}
-			s.convOps[i] = op
-		}
-	}
-	s.convBias = make([]*he.Plaintext, len(s.conv.B))
-	for i, b := range s.conv.B {
-		s.convBias[i] = e.scalar.Encode(b)
-	}
-	return nil
-}
-
-func (e *HybridEngine) encodeFCStep(s *planStep) error {
-	if e.cfg.TruePlainMul {
-		s.fcOps = make([]*he.PlainOperand, len(s.fc.W))
-		for i, w := range s.fc.W {
-			op, err := e.eval.PrepareOperand(e.scalar.Encode(w))
-			if err != nil {
-				return fmt.Errorf("core: encoding fc weight %d: %w", i, err)
-			}
-			s.fcOps[i] = op
-		}
-	}
-	s.fcBias = make([]*he.Plaintext, len(s.fc.B))
-	for i, b := range s.fc.B {
-		s.fcBias[i] = e.scalar.Encode(b)
-	}
-	if s.coeffRows {
-		return e.encodeFCRows(s)
-	}
-	return nil
 }
 
 // InferenceResult carries the encrypted logits and their fixed-point scale.
@@ -690,7 +638,7 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		ks0, hr0 := he.KeySwitchOps(), he.HoistedRotations()
 		var err error
 		// The pprof label attributes every CPU sample of this step — and of
-		// the parallelFor workers it spawns, which inherit labels — to the
+		// the linear.ParallelFor workers it spawns, which inherit labels — to the
 		// layer, so `go tool pprof -tagfocus hesgx_layer=...` decomposes a
 		// profile the way the flight report decomposes wall-clock.
 		pprof.Do(sctx, pprof.Labels("hesgx_layer", s.label), func(lctx context.Context) {
@@ -700,7 +648,8 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 					cts, h, w, err = e.runPackedConv(s, cts, h, w, stride, gk)
 					c = s.conv.OutC
 				} else {
-					cts, c, h, w, err = e.runConvParallel(s, cts, c, h, w, e.effectiveWorkers())
+					cts, h, w, err = linear.Conv(e.eval, e.scalar, s.conv, s.bias, cts, c, h, w, e.effectiveWorkers())
+					c = s.conv.OutC
 				}
 				scale *= float64(e.cfg.WeightScale)
 			case stepAct:
@@ -732,7 +681,7 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 					cts, err = e.runFCCoeff(s, cts, c*h*w, e.effectiveWorkers())
 					coeffMap = false
 				} else {
-					cts, err = e.runFCParallel(s, cts, e.effectiveWorkers())
+					cts, err = linear.FC(e.eval, e.scalar, s.fc, s.bias, cts, e.effectiveWorkers())
 				}
 				scale *= float64(e.cfg.WeightScale)
 				c, h, w = len(cts), 1, 1
@@ -740,10 +689,12 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		})
 		var nttFwd, nttInv uint64
 		if s.kind == stepConv || s.kind == stepFC {
-			// Per-layer transform counts make the NTT-residency win
-			// visible. The ring's counters are global, so under concurrent
-			// inferences a layer's delta includes transforms of overlapping
-			// requests — approximate attribution, exact totals.
+			// Per-layer transform counts: zero on the scalar kernels, the
+			// hoist and per-output inverses on the coefficient tail, the
+			// key-switch transforms on the packed conv. The ring's counters
+			// are global, so under concurrent inferences a layer's delta
+			// includes transforms of overlapping requests — approximate
+			// attribution, exact totals.
 			fwd1, inv1 := r.NTTCounts()
 			nttFwd, nttInv = fwd1-fwd0, inv1-inv0
 			span.Arg("ntt_fwd", float64(nttFwd)).Arg("ntt_inv", float64(nttInv))
@@ -806,21 +757,20 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 	return &InferenceResult{Logits: cts, OutScale: scale}, nil
 }
 
+// effectiveWorkers resolves the configured worker count.
+func (e *HybridEngine) effectiveWorkers() int {
+	if e.cfg.Workers < 0 {
+		return runtime.NumCPU()
+	}
+	return e.cfg.Workers
+}
+
 // b2f renders a flag as a span argument value.
 func b2f(b bool) float64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// mulWeight multiplies a ciphertext by quantized weight index idx of step s
-// (conv or fc), using either the true C×P path or the scalar fast path.
-func (e *HybridEngine) mulWeight(ct *he.Ciphertext, ops []*he.PlainOperand, weights []int64, idx int) (*he.Ciphertext, error) {
-	if e.cfg.TruePlainMul {
-		return e.eval.MulPlainOperand(ct, ops[idx])
-	}
-	return e.eval.MulScalar(ct, e.scalar.EncodeValue(weights[idx]))
 }
 
 func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.Ciphertext, simd bool) ([]*he.Ciphertext, error) {
@@ -887,25 +837,9 @@ func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Cipher
 		// its plan skipped SGXDiv's window-sum magnitude check.
 		op.Kind = OpPoolFull
 	default: // PoolSGXDiv: homomorphic window sums, enclave division.
-		sums := make([]*he.Ciphertext, c*oh*ow)
-		for ch := 0; ch < c; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var acc *he.Ciphertext
-					var err error
-					for ky := 0; ky < k; ky++ {
-						for kx := 0; kx < k; kx++ {
-							ct := in[(ch*h+oy*k+ky)*w+ox*k+kx]
-							if acc == nil {
-								acc = ct
-							} else if acc, err = e.eval.Add(acc, ct); err != nil {
-								return nil, 0, 0, err
-							}
-						}
-					}
-					sums[(ch*oh+oy)*ow+ox] = acc
-				}
-			}
+		sums, _, _, err := linear.WindowSum(e.eval, in, c, h, w, k, e.effectiveWorkers())
+		if err != nil {
+			return nil, 0, 0, err
 		}
 		out, err := e.caller.Nonlinear(ctx, NonlinearOp{Kind: OpPoolDivide, SIMD: simd, Divisor: uint64(k * k)}, sums)
 		return out, oh, ow, err
@@ -934,7 +868,7 @@ func (e *HybridEngine) packCoefficients(in []*he.Ciphertext, g, workers int) ([]
 		return in, nil
 	}
 	out := make([]*he.Ciphertext, (len(in)+g-1)/g)
-	err := parallelFor(len(out), workers, func(o int) error {
+	err := linear.ParallelFor(len(out), workers, func(o int) error {
 		group := in[o*g : min((o+1)*g, len(in))]
 		acc := he.NewCiphertext(e.params, group[0].Size())
 		for j, ct := range group {

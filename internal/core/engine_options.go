@@ -41,12 +41,6 @@ func WithSingleECalls(on bool) EngineOption {
 	return func(c *Config) { c.SingleECalls = on }
 }
 
-// WithTruePlainMul forces full polynomial ciphertext×plaintext products for
-// weight multiplications instead of the constant-coefficient fast path.
-func WithTruePlainMul(on bool) EngineOption {
-	return func(c *Config) { c.TruePlainMul = on }
-}
-
 // WithPackedConv enables the rotation-keyed packed execution prefix for
 // slot-packed images (Client.EncryptImagePacked): one ciphertext per
 // channel, convolution and pooling as hoisted Galois rotations. Falls back
@@ -54,12 +48,6 @@ func WithTruePlainMul(on bool) EngineOption {
 // parameters or model shape do not support it.
 func WithPackedConv(on bool) EngineOption {
 	return func(c *Config) { c.PackedConv = on }
-}
-
-// WithoutNTTResidency disables the evaluation-form hot path for
-// TruePlainMul linear layers (ablation only; bit-identical results).
-func WithoutNTTResidency() EngineOption {
-	return func(c *Config) { c.DisableNTTResidency = true }
 }
 
 // NewEngine plans the hybrid execution of model with DefaultConfig

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"hesgx/internal/he"
+	"hesgx/internal/linear"
 	"hesgx/internal/sgx"
 )
 
@@ -128,7 +129,7 @@ func (st *enclaveState) lanePack(ctx *sgx.Context, input []byte) ([]byte, error)
 	vals := make([]int64, len(cts))
 	bits := make([]float64, len(cts))
 	workers := laneWorkers(len(cts))
-	err = parallelFor(len(cts), workers, func(i int) error {
+	err = linear.ParallelFor(len(cts), workers, func(i int) error {
 		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
 		if err != nil {
 			return fmt.Errorf("lane pack decrypt %d: %w", i, err)
@@ -214,7 +215,7 @@ func (st *enclaveState) laneDemux(ctx *sgx.Context, input []byte) ([]byte, error
 	vals := make([]int64, k*p)
 	bits := make([]float64, p)
 	workers := laneWorkers(k * p)
-	err = parallelFor(p, workers, func(i int) error {
+	err = linear.ParallelFor(p, workers, func(i int) error {
 		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
 		if err != nil {
 			return fmt.Errorf("lane demux decrypt %d: %w", i, err)

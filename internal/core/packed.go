@@ -313,7 +313,7 @@ func (e *HybridEngine) runPackedConv(s *planStep, in []*he.Ciphertext, h, w, str
 		}
 	}
 	for o := range out {
-		if err := e.eval.AddPlainInto(out[o], s.convBias[o]); err != nil {
+		if err := e.eval.AddPlainInto(out[o], s.bias[o]); err != nil {
 			return nil, 0, 0, err
 		}
 	}

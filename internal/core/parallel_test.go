@@ -4,12 +4,14 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"hesgx/internal/linear"
 )
 
 func TestParallelForSequentialAndParallel(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8} {
 		var sum atomic.Int64
-		if err := parallelFor(100, workers, func(i int) error {
+		if err := linear.ParallelFor(100, workers, func(i int) error {
 			sum.Add(int64(i))
 			return nil
 		}); err != nil {
@@ -23,7 +25,7 @@ func TestParallelForSequentialAndParallel(t *testing.T) {
 
 func TestParallelForPropagatesError(t *testing.T) {
 	sentinel := errors.New("boom")
-	err := parallelFor(50, 4, func(i int) error {
+	err := linear.ParallelFor(50, 4, func(i int) error {
 		if i == 17 {
 			return sentinel
 		}
@@ -33,7 +35,7 @@ func TestParallelForPropagatesError(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 	// Sequential path too.
-	err = parallelFor(50, 1, func(i int) error {
+	err = linear.ParallelFor(50, 1, func(i int) error {
 		if i == 3 {
 			return sentinel
 		}
@@ -51,7 +53,7 @@ func TestParallelForStopsDispatchAfterError(t *testing.T) {
 	const n = 100000
 	sentinel := errors.New("boom")
 	var calls atomic.Int64
-	err := parallelFor(n, 4, func(i int) error {
+	err := linear.ParallelFor(n, 4, func(i int) error {
 		calls.Add(1)
 		return sentinel
 	})

@@ -36,8 +36,6 @@ type Config struct {
 	// PixelScale and WeightScale quantize inputs and weights.
 	PixelScale  uint64
 	WeightScale uint64
-	// TruePlainMul forces full C×P products for weight multiplication.
-	TruePlainMul bool
 }
 
 // DefaultConfig returns parameters tuned for the Fig. 7 CryptoNets variant.

@@ -6,6 +6,7 @@ import (
 
 	"hesgx/internal/encoding"
 	"hesgx/internal/he"
+	"hesgx/internal/linear"
 	"hesgx/internal/nn"
 )
 
@@ -189,19 +190,23 @@ func (e *Engine) InferModulus(m int, cts []*he.Ciphertext, c, h, w int) ([]*he.C
 
 func (e *Engine) inferModulus(m int, in []*he.Ciphertext, c, h, w int) ([]*he.Ciphertext, error) {
 	cts := in
+	eval, scal := e.evals[m], e.scals[m]
 	var err error
 	for i, s := range e.steps {
+		// The linear layers are the shared scalar kernels on one worker: the
+		// baseline stays the paper's single-threaded pipeline.
 		switch s.kind {
 		case stepConv:
-			cts, c, h, w, err = e.runConv(m, s, cts, c, h, w)
+			cts, h, w, err = linear.Conv(eval, scal, s.conv, linear.EncodeBias(scal, s.conv.B), cts, c, h, w, 1)
+			c = s.conv.OutC
 		case stepSquare:
 			cts, err = e.runSquare(m, cts)
 		case stepSumPool:
-			cts, h, w, err = e.runSumPool(m, s, cts, c, h, w)
+			cts, h, w, err = linear.WindowSum(eval, cts, c, h, w, s.window, 1)
 		case stepFlatten:
 			// no-op on the flat slice
 		case stepFC:
-			cts, err = e.runFC(m, s, cts)
+			cts, err = linear.FC(eval, scal, s.fc, linear.EncodeBias(scal, s.fc.B), cts, 1)
 			c, h, w = len(cts), 1, 1
 		}
 		if err != nil {
@@ -209,69 +214,6 @@ func (e *Engine) inferModulus(m int, in []*he.Ciphertext, c, h, w int) ([]*he.Ci
 		}
 	}
 	return cts, nil
-}
-
-func (e *Engine) mulWeight(m int, ct *he.Ciphertext, w int64) (*he.Ciphertext, error) {
-	if e.cfg.TruePlainMul {
-		return e.evals[m].MulPlain(ct, e.scals[m].Encode(w))
-	}
-	return e.evals[m].MulScalar(ct, e.scals[m].EncodeValue(w))
-}
-
-func (e *Engine) runConv(m int, s *planStep, in []*he.Ciphertext, c, h, w int) ([]*he.Ciphertext, int, int, int, error) {
-	q := s.conv
-	if c != q.InC || len(in) != c*h*w {
-		return nil, 0, 0, 0, fmt.Errorf("conv input %d cts (%dx%dx%d), want inC=%d", len(in), c, h, w, q.InC)
-	}
-	oh, ow := q.OutSize(h), q.OutSize(w)
-	out := make([]*he.Ciphertext, q.OutC*oh*ow)
-	eval := e.evals[m]
-	for o := 0; o < q.OutC; o++ {
-		biasPt := e.scals[m].Encode(q.B[o])
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var acc *he.Ciphertext
-				for i := 0; i < q.InC; i++ {
-					for ky := 0; ky < q.K; ky++ {
-						iy := oy*q.Stride + ky
-						for kx := 0; kx < q.K; kx++ {
-							wv := q.WAt(o, i, ky, kx)
-							if wv == 0 && !e.cfg.TruePlainMul {
-								continue
-							}
-							ct := in[(i*h+iy)*w+ox*q.Stride+kx]
-							var err error
-							switch {
-							case acc == nil:
-								acc, err = e.mulWeight(m, ct, wv)
-							case e.cfg.TruePlainMul:
-								var term *he.Ciphertext
-								if term, err = e.mulWeight(m, ct, wv); err == nil {
-									acc, err = eval.Add(acc, term)
-								}
-							default:
-								err = eval.MulScalarAddInto(acc, ct, e.scals[m].EncodeValue(wv))
-							}
-							if err != nil {
-								return nil, 0, 0, 0, err
-							}
-						}
-					}
-				}
-				var err error
-				if acc == nil {
-					if acc, err = eval.MulScalar(in[0], 0); err != nil {
-						return nil, 0, 0, 0, err
-					}
-				}
-				if acc, err = eval.AddPlain(acc, biasPt); err != nil {
-					return nil, 0, 0, 0, err
-				}
-				out[(o*oh+oy)*ow+ox] = acc
-			}
-		}
-	}
-	return out, q.OutC, oh, ow, nil
 }
 
 // runSquare is the polynomial activation: ct×ct followed by
@@ -287,79 +229,6 @@ func (e *Engine) runSquare(m int, in []*he.Ciphertext) ([]*he.Ciphertext, error)
 		if out[i], err = eval.Relinearize(sq, e.eks[m]); err != nil {
 			return nil, fmt.Errorf("relinearize %d: %w", i, err)
 		}
-	}
-	return out, nil
-}
-
-func (e *Engine) runSumPool(m int, s *planStep, in []*he.Ciphertext, c, h, w int) ([]*he.Ciphertext, int, int, error) {
-	k := s.window
-	if h%k != 0 || w%k != 0 {
-		return nil, 0, 0, fmt.Errorf("pool window %d does not divide %dx%d", k, h, w)
-	}
-	oh, ow := h/k, w/k
-	out := make([]*he.Ciphertext, c*oh*ow)
-	eval := e.evals[m]
-	for ch := 0; ch < c; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var acc *he.Ciphertext
-				var err error
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						ct := in[(ch*h+oy*k+ky)*w+ox*k+kx]
-						if acc == nil {
-							acc = ct
-						} else if acc, err = eval.Add(acc, ct); err != nil {
-							return nil, 0, 0, err
-						}
-					}
-				}
-				out[(ch*oh+oy)*ow+ox] = acc
-			}
-		}
-	}
-	return out, oh, ow, nil
-}
-
-func (e *Engine) runFC(m int, s *planStep, in []*he.Ciphertext) ([]*he.Ciphertext, error) {
-	q := s.fc
-	if len(in) != q.In {
-		return nil, fmt.Errorf("fc input %d cts, want %d", len(in), q.In)
-	}
-	eval := e.evals[m]
-	out := make([]*he.Ciphertext, q.Out)
-	for o := 0; o < q.Out; o++ {
-		var acc *he.Ciphertext
-		var err error
-		for i, ct := range in {
-			wv := q.W[o*q.In+i]
-			if wv == 0 && !e.cfg.TruePlainMul {
-				continue
-			}
-			switch {
-			case acc == nil:
-				acc, err = e.mulWeight(m, ct, wv)
-			case e.cfg.TruePlainMul:
-				var term *he.Ciphertext
-				if term, err = e.mulWeight(m, ct, wv); err == nil {
-					acc, err = eval.Add(acc, term)
-				}
-			default:
-				err = eval.MulScalarAddInto(acc, ct, e.scals[m].EncodeValue(wv))
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if acc == nil {
-			if acc, err = eval.MulScalar(in[0], 0); err != nil {
-				return nil, err
-			}
-		}
-		if acc, err = eval.AddPlain(acc, e.scals[m].Encode(q.B[o])); err != nil {
-			return nil, err
-		}
-		out[o] = acc
 	}
 	return out, nil
 }

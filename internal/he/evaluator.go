@@ -5,23 +5,6 @@ import (
 	"sync"
 
 	"hesgx/internal/ring"
-	"hesgx/internal/u128"
-)
-
-// tensorMode selects the ciphertext-multiplication backend.
-type tensorMode int
-
-const (
-	// tensorRNS is the default: word-size RNS modulus-chain multiply
-	// (ring.RNSMultiplier) — O(limbs) word operations per coefficient,
-	// per-limb goroutine parallelism, every supported degree.
-	tensorRNS tensorMode = iota
-	// tensorOracle is the legacy single-modulus u128 path (Garner CRT into
-	// a 128-bit accumulator), kept as a bit-exact correctness oracle;
-	// selected by Parameters.WithTensorOracle, limited to n ≤ 4096.
-	tensorOracle
-	// tensorSchoolbook is the O(n²) integer-convolution reference.
-	tensorSchoolbook
 )
 
 // Evaluator performs homomorphic operations on FV ciphertexts. It is
@@ -29,10 +12,11 @@ const (
 // synchronized) and safe for concurrent use.
 type Evaluator struct {
 	params Parameters
-	mode   tensorMode
-	// tensor is the u128 oracle backend (tensorOracle mode only).
-	tensor *ring.TensorMultiplier
-	// rns is the default multiply backend, built on first use so
+	// schoolbook replaces the RNS multiply with the O(n²) exact integer
+	// convolution — the reference tests compare the RNS path against.
+	schoolbook bool
+	// rns is the ciphertext-multiply backend: the word-size RNS modulus chain
+	// (ring.RNSMultiplier), every supported degree. Built on first use so
 	// evaluators that never tensor (plaintext-only layers, hybrid refresh
 	// paths) skip the auxiliary-basis construction entirely.
 	rnsOnce sync.Once
@@ -41,43 +25,25 @@ type Evaluator struct {
 }
 
 // EvaluatorOption customizes evaluator construction.
-type EvaluatorOption func(*evaluatorConfig)
-
-type evaluatorConfig struct {
-	schoolbook bool
-}
+type EvaluatorOption func(*Evaluator)
 
 // WithSchoolbookTensor forces the O(n^2) schoolbook path for ciphertext
-// multiplication — the reference implementation, kept for ablation
-// benchmarks and cross-checking (it is also the only exact oracle at
-// n = 8192, where the u128 NTT-CRT path exceeds its 128-bit bound).
+// multiplication — the exact reference implementation at every degree, kept
+// for cross-checking the RNS multiply and as the ablation baseline.
 func WithSchoolbookTensor() EvaluatorOption {
-	return func(c *evaluatorConfig) { c.schoolbook = true }
+	return func(ev *Evaluator) { ev.schoolbook = true }
 }
 
-// NewEvaluator builds an evaluator for the parameter set. Multiplication
-// dispatch: the RNS modulus chain by default, the u128 oracle when the
-// parameters carry WithTensorOracle, the schoolbook reference under
-// WithSchoolbookTensor (which wins over the params flag).
+// NewEvaluator builds an evaluator for the parameter set. Ciphertext
+// multiplication runs on the RNS modulus chain unless WithSchoolbookTensor
+// selects the reference.
 func NewEvaluator(params Parameters, opts ...EvaluatorOption) (*Evaluator, error) {
 	if !params.Valid() {
 		return nil, fmt.Errorf("he: invalid parameters")
 	}
-	cfg := evaluatorConfig{}
+	ev := &Evaluator{params: params}
 	for _, o := range opts {
-		o(&cfg)
-	}
-	ev := &Evaluator{params: params, mode: tensorRNS}
-	switch {
-	case cfg.schoolbook:
-		ev.mode = tensorSchoolbook
-	case params.TensorOracle:
-		ev.mode = tensorOracle
-		tm, err := ring.NewTensorMultiplier(params.N)
-		if err != nil {
-			return nil, fmt.Errorf("he: tensor multiplier: %w", err)
-		}
-		ev.tensor = tm
+		o(ev)
 	}
 	return ev, nil
 }
@@ -91,15 +57,6 @@ func (ev *Evaluator) rnsMultiplier() (*ring.RNSMultiplier, error) {
 		return nil, fmt.Errorf("he: rns multiplier: %w", ev.rnsErr)
 	}
 	return ev.rns, nil
-}
-
-// tensorConvolve computes the exact negacyclic convolution of centered
-// operands on the non-RNS backends.
-func (ev *Evaluator) tensorConvolve(a, b []int64) ([]u128.Int128, error) {
-	if ev.tensor != nil {
-		return ev.tensor.MulExact(a, b)
-	}
-	return ring.NegacyclicConvolveInt(a, b), nil
 }
 
 func (ev *Evaluator) check(cts ...*Ciphertext) error {
@@ -187,7 +144,7 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 
 // AddPlainInto computes ct += pt in place with pooled scratch — the
 // allocation-free bias add of the linear layers. The scaled plaintext is
-// lifted into ct's domain, so NTT-resident accumulators take the bias
+// lifted into ct's domain, so evaluation-form accumulators take the bias
 // without leaving evaluation form.
 func (ev *Evaluator) AddPlainInto(ct *Ciphertext, pt *Plaintext) error {
 	if err := ev.check(ct); err != nil {
@@ -287,8 +244,8 @@ func (ev *Evaluator) MulPlainOperand(ct *Ciphertext, op *PlainOperand) (*Ciphert
 
 // MulPlainOperandAddInto computes acc += ct * op entirely in evaluation
 // form: one fused pointwise multiply-accumulate per component, zero NTTs,
-// zero allocations. This is the inner-loop kernel of the NTT-resident
-// conv/FC path; both acc and ct must already be NTT form and the same size.
+// zero allocations. Both acc and ct must already be NTT form and the same
+// size.
 func (ev *Evaluator) MulPlainOperandAddInto(acc, ct *Ciphertext, op *PlainOperand) error {
 	if err := ev.check(acc, ct); err != nil {
 		return err
@@ -345,7 +302,7 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 	if err := checkCoeff("Mul", ct0, ct1); err != nil {
 		return nil, err
 	}
-	if ev.mode == tensorRNS {
+	if !ev.schoolbook {
 		rm, err := ev.rnsMultiplier()
 		if err != nil {
 			return nil, err
@@ -376,25 +333,13 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 
 	out := NewCiphertext(ev.params, 3)
 	// out0 = round(t/q * c0*d0)
-	v00, err := ev.tensorConvolve(c0, d0)
-	if err != nil {
-		return nil, err
-	}
+	v00 := ring.NegacyclicConvolveInt(c0, d0)
 	// out1 = round(t/q * (c0*d1 + c1*d0)) — sum the exact convolutions
 	// before scaling so rounding happens once.
-	x, err := ev.tensorConvolve(c0, d1)
-	if err != nil {
-		return nil, err
-	}
-	y, err := ev.tensorConvolve(c1, d0)
-	if err != nil {
-		return nil, err
-	}
+	x := ring.NegacyclicConvolveInt(c0, d1)
+	y := ring.NegacyclicConvolveInt(c1, d0)
 	// out2 = round(t/q * c1*d1)
-	v11, err := ev.tensorConvolve(c1, d1)
-	if err != nil {
-		return nil, err
-	}
+	v11 := ring.NegacyclicConvolveInt(c1, d1)
 	for k := range v00 {
 		out.Polys[0].Coeffs[k] = v00[k].ScaleRoundMod(t, q, q)
 		out.Polys[1].Coeffs[k] = x[k].Add(y[k]).ScaleRoundMod(t, q, q)
@@ -414,7 +359,7 @@ func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
 	if err := checkCoeff("Square", ct); err != nil {
 		return nil, err
 	}
-	if ev.mode == tensorRNS {
+	if !ev.schoolbook {
 		rm, err := ev.rnsMultiplier()
 		if err != nil {
 			return nil, err
@@ -436,18 +381,9 @@ func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
 	r.CenteredInto(ct.Polys[0], c0)
 	r.CenteredInto(ct.Polys[1], c1)
 	out := NewCiphertext(ev.params, 3)
-	v00, err := ev.tensorConvolve(c0, c0)
-	if err != nil {
-		return nil, err
-	}
-	cross, err := ev.tensorConvolve(c0, c1)
-	if err != nil {
-		return nil, err
-	}
-	v11, err := ev.tensorConvolve(c1, c1)
-	if err != nil {
-		return nil, err
-	}
+	v00 := ring.NegacyclicConvolveInt(c0, c0)
+	cross := ring.NegacyclicConvolveInt(c0, c1)
+	v11 := ring.NegacyclicConvolveInt(c1, c1)
 	for k := range v00 {
 		out.Polys[0].Coeffs[k] = v00[k].ScaleRoundMod(t, q, q)
 		out.Polys[1].Coeffs[k] = cross[k].Add(cross[k]).ScaleRoundMod(t, q, q)

@@ -29,32 +29,13 @@ type Parameters struct {
 	// DecompBaseBits is log2 of the relinearization decomposition base w.
 	DecompBaseBits int
 
-	// TensorOracle routes ciphertext multiplication through the legacy
-	// single-modulus u128 tensoring path instead of the RNS modulus chain.
-	// The two paths are bit-exact where both are defined (the equivalence
-	// property tests pin this), so the flag changes performance, not
-	// semantics — it exists as a correctness oracle for CI and ablations.
-	// The oracle path is limited to N ≤ 4096 by its 128-bit accumulator;
-	// set it with WithTensorOracle.
-	TensorOracle bool
-
 	ring *ring.Ring
 	// delta = floor(Q/T).
 	delta uint64
 }
 
-// WithTensorOracle returns a copy of p that evaluates ciphertext
-// multiplication on the single-modulus u128 oracle path. Oracle and RNS
-// parameter sets are interchangeable (Equal ignores the flag): ciphertexts,
-// keys, and wire bytes are identical — only the evaluator's multiply
-// dispatch differs.
-func (p Parameters) WithTensorOracle() Parameters {
-	p.TensorOracle = true
-	return p
-}
-
-// MulChain returns the RNS basis the default multiplier uses for this
-// parameter set: three auxiliary NTT-friendly primes one bit below
+// MulChain returns the RNS basis the multiplier uses for this parameter
+// set: three auxiliary NTT-friendly primes one bit below
 // ring.MaxModulusBits followed by Q itself as the chain's last (rescaling)
 // modulus. The chain derives deterministically from (N, Q), so endpoints
 // never exchange it.
@@ -69,8 +50,7 @@ func (p Parameters) MulChain() ([]uint64, error) {
 // defaultQBits mirrors SEAL 2.1's ChooserEvaluator::default_parameter_options
 // in spirit: it maps a ring degree to an automatically chosen coefficient
 // modulus size. Values are capped at ring.MaxModulusBits (word-size limbs);
-// the RNS multiplier serves every listed degree, while the u128 oracle path
-// additionally requires n ≤ 4096.
+// the RNS multiplier serves every listed degree.
 var defaultQBits = map[int]int{
 	1024: 46,
 	2048: 56,

@@ -6,14 +6,14 @@ import (
 	"hesgx/internal/ring"
 )
 
-// The RNS↔oracle equivalence suite: the default RNS modulus-chain multiply
-// and the single-modulus u128 oracle path (Parameters.WithTensorOracle)
-// must produce bit-identical ciphertexts for every tensor operation, at
-// every supported degree the oracle serves. CI runs this under -race in the
-// rns-core job.
+// The RNS↔oracle equivalence suite: the RNS modulus-chain multiply and the
+// schoolbook evaluator (WithSchoolbookTensor: exact O(n²) integer
+// convolution, then scale-and-round) must produce bit-identical ciphertexts
+// for every tensor operation at every supported degree. CI runs this under
+// -race.
 
-// equivContext builds two evaluators over the same keys: the default (RNS)
-// one and the oracle one.
+// equivContext builds two evaluators over the same keys: the RNS one and the
+// schoolbook oracle.
 func equivContext(t *testing.T, n int, tmod uint64, seed uint64) (*testContext, *Evaluator) {
 	t.Helper()
 	params, err := DefaultParameters(n, tmod)
@@ -38,7 +38,7 @@ func equivContext(t *testing.T, n int, tmod uint64, seed uint64) (*testContext, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleEval, err := NewEvaluator(params.WithTensorOracle())
+	oracleEval, err := NewEvaluator(params, WithSchoolbookTensor())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,25 +184,9 @@ func TestRNSDeepChainMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestOracleModeRejectsLargeDegree: WithTensorOracle at n=8192 must fail at
-// evaluator construction (the u128 accumulator cannot hold the tensor),
-// while the default RNS evaluator serves the degree.
-func TestOracleModeRejectsLargeDegree(t *testing.T) {
-	params, err := DefaultParameters(8192, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEvaluator(params.WithTensorOracle()); err == nil {
-		t.Fatal("oracle evaluator at n=8192 accepted")
-	}
-	if _, err := NewEvaluator(params); err != nil {
-		t.Fatalf("rns evaluator at n=8192 rejected: %v", err)
-	}
-}
-
 // TestLargeDegreeMulDecrypts runs a real encrypt→Mul→Relin→decrypt cycle at
-// n=8192 — the degree the tentpole unlocks — and checks the plaintext
-// product, using the schoolbook evaluator as the independent exact oracle.
+// n=8192 and checks the plaintext product, using the schoolbook evaluator as
+// the independent exact oracle.
 func TestLargeDegreeMulDecrypts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=8192 key generation and schoolbook oracle are slow; skipped in -short")

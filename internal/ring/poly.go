@@ -255,7 +255,7 @@ func (r *Ring) MulCoeffs(a, b, out Poly) {
 }
 
 // MulCoeffsAdd sets out += a ⊙ b, fusing the pointwise product with the
-// accumulation so NTT-resident layers never materialize the product.
+// accumulation so evaluation-form sums never materialize the product.
 func (r *Ring) MulCoeffsAdd(a, b, out Poly) {
 	mod := r.Mod
 	for i := range out.Coeffs {
@@ -295,8 +295,8 @@ func (r *Ring) MulCoeffsShoup(a, b Poly, bShoup []uint64, out Poly) {
 }
 
 // MulCoeffsShoupAdd sets out += a ⊙ b where bShoup = ShoupPrecompute(b) —
-// the fused multiply-accumulate kernel of the NTT-resident conv/FC inner
-// loop.
+// the fused multiply-accumulate kernel of key switching and of sums against
+// prepared plaintext operands.
 func (r *Ring) MulCoeffsShoupAdd(a, b Poly, bShoup []uint64, out Poly) {
 	mod := r.Mod
 	for i := range out.Coeffs {
@@ -348,32 +348,11 @@ func (r *Ring) CenteredInto(a Poly, out []int64) {
 	}
 }
 
-// MulExactScaleRound computes the FV tensor product of centered operands:
-// out = round(scaleNum * (a ⊛ b) / scaleDen) mod q, where ⊛ is negacyclic
-// convolution over the integers (no modular wraparound). a and b are given
-// in centered int64 form with |coef| <= q/2; the exact intermediate uses
-// 128-bit accumulation (see package u128).
-func (r *Ring) MulExactScaleRound(a, b []int64, scaleNum, scaleDen uint64, out Poly) {
-	n := r.N
-	q := r.Mod.Q
-	for k := 0; k < n; k++ {
-		acc := u128.Int128{}
-		// x^k coefficient of negacyclic a*b:
-		//   sum_{i<=k} a[i]b[k-i]  -  sum_{i>k} a[i]b[n+k-i]
-		for i := 0; i <= k; i++ {
-			acc = acc.AddMulInt64(a[i], b[k-i])
-		}
-		for i := k + 1; i < n; i++ {
-			acc = acc.Sub(u128.MulInt64(a[i], b[n+k-i]))
-		}
-		out.Coeffs[k] = acc.ScaleRoundMod(scaleNum, scaleDen, q)
-	}
-}
-
 // NegacyclicConvolveInt computes the exact negacyclic convolution of centered
-// operands over the integers, returning 128-bit coefficients. It is the
-// reference implementation backing MulExactScaleRound and the Karatsuba
-// variant's test oracle.
+// operands over the integers, returning 128-bit coefficients, in O(n²): the
+// x^k coefficient is Σ_{i≤k} a[i]·b[k−i] − Σ_{i>k} a[i]·b[n+k−i]. It is the
+// exact reference the schoolbook evaluator and the RNS multiplier's tests
+// are built on.
 func NegacyclicConvolveInt(a, b []int64) []u128.Int128 {
 	n := len(a)
 	out := make([]u128.Int128, n)

@@ -334,23 +334,6 @@ func TestRingAxioms(t *testing.T) {
 	})
 }
 
-func TestMulExactScaleRoundIdentityScale(t *testing.T) {
-	// With scaleNum = scaleDen = 1 the exact integer convolution reduced mod q
-	// must agree with MulNTT.
-	r := testRing(t)
-	s := NewSampler(r, NewSeededSource(5))
-	a, b := r.NewPoly(), r.NewPoly()
-	s.Uniform(a)
-	s.Uniform(b)
-	want := r.NewPoly()
-	r.MulNTT(a, b, want)
-	got := r.NewPoly()
-	r.MulExactScaleRound(r.Centered(a), r.Centered(b), 1, 1, got)
-	if !got.Equal(want) {
-		t.Fatal("MulExactScaleRound(.,1,1) != MulNTT")
-	}
-}
-
 func TestNegacyclicConvolveIntMatchesBig(t *testing.T) {
 	r := testRing(t)
 	s := NewSampler(r, NewSeededSource(6))
@@ -549,22 +532,5 @@ func BenchmarkMulNTT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.MulNTT(x, y, out)
-	}
-}
-
-func BenchmarkMulExactScaleRound1024(b *testing.B) {
-	q, _ := GenerateNTTPrime(50, 1024)
-	r, err := NewRing(1024, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewSampler(r, NewSeededSource(1))
-	x, y, out := r.NewPoly(), r.NewPoly(), r.NewPoly()
-	s.Uniform(x)
-	s.Uniform(y)
-	cx, cy := r.Centered(x), r.Centered(y)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.MulExactScaleRound(cx, cy, 64, q, out)
 	}
 }

@@ -3,12 +3,20 @@ package ring
 import (
 	"bytes"
 	"math/big"
-	mrand "math/rand/v2"
 	"math/bits"
+	mrand "math/rand/v2"
 	"testing"
-
-	"hesgx/internal/u128"
 )
+
+// randCentered draws n centered values of the given bit width.
+func randCentered(rng *mrand.Rand, n int, bits int) []int64 {
+	out := make([]int64, n)
+	half := int64(1) << (bits - 1)
+	for i := range out {
+		out[i] = rng.Int64N(2*half) - half
+	}
+	return out
+}
 
 func TestGenerateChainProperties(t *testing.T) {
 	for _, n := range []int{1024, 4096} {
@@ -118,40 +126,42 @@ func TestRNSRingReconstruct(t *testing.T) {
 	}
 }
 
-// TestRNSReconstructMatchesU128Garner cross-checks the two CRT
-// reconstructions on the same residues: the RNS ring's big-integer
-// reconstruction and the u128 Garner path inside TensorMultiplier must
-// agree on every value below the 2^127 lift bound.
+// TestRNSReconstructMatchesU128Garner cross-checks the RNS ring against the
+// exact integer reference at tensor-product magnitudes: the limb-wise NTT
+// product of two centered operands, CRT-reconstructed, must equal
+// NegacyclicConvolveInt's u128 coefficients one for one (|value| up to
+// n·2^114 < 2^121, far inside the three-limb basis). The name is from the
+// u128 Garner reconstruction that used to be the other side of this check.
 func TestRNSReconstructMatchesU128Garner(t *testing.T) {
 	n := 64
-	tm, err := NewTensorMultiplier(n)
+	chain, err := GenerateChain(MaxModulusBits, n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := []uint64{tm.mods[0].Q, tm.mods[1].Q, tm.mods[2].Q}
-	rr, err := NewRNSRing(16, chain)
+	rr, err := NewRNSRing(n, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := mrand.New(mrand.NewPCG(9, 2))
-	p := rr.NewRNSPoly()
-	want := new(big.Int)
-	got := new(big.Int)
-	for trial := 0; trial < 200; trial++ {
-		// Random y < 2^126 (the magnitude both reconstructions must cover).
-		y := u128.Uint128{Hi: rng.Uint64() & ((1 << 62) - 1), Lo: rng.Uint64()}
-		r1, r2, r3 := y.Mod64(chain[0]), y.Mod64(chain[1]), y.Mod64(chain[2])
-		g := tm.garner(r1, r2, r3)
-		if g != y {
-			t.Fatalf("trial %d: u128 garner %+v != input %+v", trial, g, y)
-		}
-		p.Limbs[0].Coeffs[0], p.Limbs[1].Coeffs[0], p.Limbs[2].Coeffs[0] = r1, r2, r3
-		rr.ReconstructBig(p, 0, got)
-		want.SetUint64(y.Hi)
+	a, b := randCentered(rng, n, 57), randCentered(rng, n, 57)
+	pa, pb, prod := rr.NewRNSPoly(), rr.NewRNSPoly(), rr.NewRNSPoly()
+	rr.SetCentered(a, pa)
+	rr.SetCentered(b, pb)
+	rr.NTT(pa)
+	rr.NTT(pb)
+	rr.MulCoeffs(pa, pb, prod)
+	rr.INTT(prod)
+	got, want := new(big.Int), new(big.Int)
+	for i, c := range NegacyclicConvolveInt(a, b) {
+		want.SetUint64(c.Mag.Hi)
 		want.Lsh(want, 64)
-		want.Or(want, new(big.Int).SetUint64(y.Lo))
+		want.Or(want, new(big.Int).SetUint64(c.Mag.Lo))
+		if c.Neg {
+			want.Neg(want)
+		}
+		rr.ReconstructBig(prod, i, got)
 		if got.Cmp(want) != 0 {
-			t.Fatalf("trial %d: rns reconstruct %v != garner %v", trial, got, want)
+			t.Fatalf("coeff %d: rns reconstruct %v != exact convolution %v", i, got, want)
 		}
 	}
 }

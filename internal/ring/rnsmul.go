@@ -32,14 +32,13 @@ const maxAuxLimbs = 3
 // DivRoundByLastModulus scaled rounding whose quotient is folded back to a
 // single mod-q residue with Garner mixed-radix digits and Shoup
 // multiplications — no 128-bit division anywhere on the path. The result is
-// bit-exact with the u128.TensorMultiplier oracle (see the equivalence
-// property tests): for odd q the oracle's sign-magnitude rounding
-// sign(z)·floor((|z|·t + floor(q/2))/q) equals the RNS path's
-// floor((z·t + floor(q/2))/q) identically.
+// bit-exact with the schoolbook reference (NegacyclicConvolveInt followed by
+// u128 scale-and-round; see the equivalence property tests): for odd q the
+// reference's sign-magnitude rounding sign(z)·floor((|z|·t + floor(q/2))/q)
+// equals the RNS path's floor((z·t + floor(q/2))/q) identically.
 //
-// Unlike the oracle, the basis product p_1···p_k·q comfortably exceeds the
-// tensor bound 2n·(q/2)²·t for every supported degree, so this path serves
-// n = 8192 where the 128-bit accumulator cannot.
+// The basis product p_1···p_k·q comfortably exceeds the tensor bound
+// 2n·(q/2)²·t for every supported degree, n = 8192 included.
 type RNSMultiplier struct {
 	rr *RNSRing // limbs [p_1, …, p_k, q]; q shared with the ciphertext ring
 	rq *Ring
@@ -269,9 +268,8 @@ func (rm *RNSMultiplier) divRoundFold(z RNSPoly, out Poly) {
 // polynomials and are not modified; outputs must not alias inputs.
 //
 // Per call this costs 4 forward and 3 inverse NTTs per limb — 12+9 on the
-// two-auxiliary-limb basis the serving tiers get, versus 24 forward + 12
-// inverse plus per-coefficient 128-bit divisions on the u128 oracle — and
-// the pointwise stage runs limbs in parallel across worker goroutines. t is
+// two-auxiliary-limb basis the serving tiers get — and the pointwise stage
+// runs limbs in parallel across worker goroutines. t is
 // folded into the inverse transforms' 1/n normalization (INTTScaled), so
 // the scaling costs nothing and the rounding stage is a pure
 // DivRoundByLastModulus.
