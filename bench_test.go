@@ -994,50 +994,31 @@ func BenchmarkConcurrentServing32Direct(b *testing.B)  { benchmarkConcurrentServ
 func BenchmarkConcurrentServing32Batched(b *testing.B) { benchmarkConcurrentServing(b, 32, true) }
 func BenchmarkConcurrentServing64Batched(b *testing.B) { benchmarkConcurrentServing(b, 64, true) }
 
-// --- Wire serialization (v2 formats) ---
+// --- Wire serialization ---
 
-// benchWireImages builds one 28×28 single-channel cipher image in both
-// upload forms: legacy public-key v1 and seeded symmetric v2.
-func benchWireImages(b *testing.B) (*core.CipherImage, *core.SeededCipherImage) {
+// benchSeededImage builds one 28×28 single-channel cipher image in the
+// seeded upload form.
+func benchSeededImage(b *testing.B) *core.SeededCipherImage {
 	f := getFixture(b)
 	senc, err := he.NewSymmetricEncryptor(f.sk, ring.NewSeededSource(90))
 	if err != nil {
 		b.Fatal(err)
 	}
 	const pixels = 28 * 28
-	legacy := &core.CipherImage{Channels: 1, Height: 28, Width: 28, Scale: 255,
-		CTs: make([]*he.Ciphertext, pixels)}
 	seeded := &core.SeededCipherImage{Channels: 1, Height: 28, Width: 28, Scale: 255,
 		CTs: make([]*he.SeededCiphertext, pixels)}
 	for i := 0; i < pixels; i++ {
-		pt := f.scalar.Encode(int64(i % 256))
-		if legacy.CTs[i], err = f.enc.Encrypt(pt); err != nil {
-			b.Fatal(err)
-		}
-		if seeded.CTs[i], err = senc.EncryptSeeded(pt); err != nil {
+		if seeded.CTs[i], err = senc.EncryptSeeded(f.scalar.Encode(int64(i % 256))); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return legacy, seeded
+	return seeded
 }
 
-// BenchmarkCipherImageEncode serializes a 28×28 cipher image in the legacy
-// fixed-width format and the seeded bit-packed v2 format. The bytes/image
-// metric is the upload cost the v2 wire protocol cuts ~2×.
+// BenchmarkCipherImageEncode serializes a 28×28 cipher image in the seeded
+// bit-packed network format; bytes/image is the upload cost.
 func BenchmarkCipherImageEncode(b *testing.B) {
-	legacy, seeded := benchWireImages(b)
-	b.Run("v1-legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		var n int
-		for i := 0; i < b.N; i++ {
-			payload, err := core.MarshalCipherImage(legacy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n = len(payload)
-		}
-		b.ReportMetric(float64(n), "bytes/image")
-	})
+	seeded := benchSeededImage(b)
 	b.Run("v2-seeded", func(b *testing.B) {
 		b.ReportAllocs()
 		var n int
@@ -1052,29 +1033,14 @@ func BenchmarkCipherImageEncode(b *testing.B) {
 	})
 }
 
-// BenchmarkCipherImageDecode is the server-side cost of the same two
-// formats, through the version-sniffing decoder (v2 includes the per-pixel
-// seed expansion).
+// BenchmarkCipherImageDecode is the server-side cost of the same image
+// through the network decoder, per-pixel seed expansion included.
 func BenchmarkCipherImageDecode(b *testing.B) {
 	f := getFixture(b)
-	legacy, seeded := benchWireImages(b)
-	v1, err := core.MarshalCipherImage(legacy)
+	v2, err := core.MarshalSeededCipherImage(benchSeededImage(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	v2, err := core.MarshalSeededCipherImage(seeded)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("v1-legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.UnmarshalCipherImageAuto(v1, f.params); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(v1)), "bytes/image")
-	})
 	b.Run("v2-seeded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

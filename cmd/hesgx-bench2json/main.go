@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkCipherImage' . | hesgx-bench2json -o BENCH_PR4.json
+//	go test -run '^$' -bench 'BenchmarkLaneServing64' . | hesgx-bench2json -o BENCH_PR6.json
 //
 // With no -o flag the JSON is written to stdout. Non-benchmark lines (goos,
 // goarch, pkg, cpu, PASS, ok) are captured as metadata or ignored.

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	hesgx-benchdiff -base BENCH_PR4.json -new /tmp/bench.json
+//	hesgx-benchdiff -base BENCH_PR6.json -new /tmp/bench.json
 //	                [-max-ratio 2.0] [-metrics ns/op,bytes/image]
 //	                [-min-ratio 0.5] [-min-metrics lane_images/sec,speedup_x]
 //	                [-floor 2.0] [-floor-metrics speedup_x]

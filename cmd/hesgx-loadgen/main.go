@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hesgx-loadgen -addr host:7700 [-clients 4] [-rate 0] [-duration 10s]
-//	              [-shapes 1x8x8:1] [-legacy] [-no-trace]
+//	              [-shapes 1x8x8:1] [-no-trace]
 //	              [-slo-p50 0] [-slo-p99 0] [-max-shed-rate -1]
 //	              [-require-joined] [-status-interval 1s] [-json]
 //	hesgx-loadgen -selftest [-require-no-bundles] [flags...]
@@ -46,7 +46,6 @@ func run() int {
 	duration := flag.Duration("duration", 10*time.Second, "run length")
 	shapes := flag.String("shapes", "1x8x8:1", "request-shape mix as CxHxW[:weight],...")
 	pixelScale := flag.Uint64("pixel-scale", 63, "fixed-point pixel scale")
-	legacy := flag.Bool("legacy", false, "force the v1 wire encoding")
 	noTrace := flag.Bool("no-trace", false, "disable distributed tracing (drop the traced request envelope)")
 	statusInterval := flag.Duration("status-interval", time.Second, "status line cadence (negative: off)")
 	seed := flag.Uint64("seed", 1, "PRNG seed for the shape mix and image contents")
@@ -94,7 +93,6 @@ func run() int {
 		Duration:       *duration,
 		Shapes:         shapeMix,
 		PixelScale:     *pixelScale,
-		Legacy:         *legacy,
 		Trace:          !*noTrace,
 		StatusInterval: *statusInterval,
 		Out:            os.Stderr,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"hesgx/internal/he"
@@ -48,21 +49,35 @@ func TestSeededImageDecryptsLikeLegacy(t *testing.T) {
 	}
 }
 
-// TestCipherImageAutoDetectsBothVersions: the auto decoder must report WireV1
-// for legacy payloads and WireV2 for seeded payloads, decoding both to the
-// same pixels. This is the version-negotiation contract: the server answers
-// in whichever format the request arrived in.
+// fixedWidthImageV1 hand-assembles the retired v1 network image — dims,
+// scale, count, then fixed-width (ECALL ABI) ciphertext frames — the bytes a
+// pre-v2 client would still send.
+func fixedWidthImageV1(tb testing.TB, im *CipherImage) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	writeU32(&buf, uint32(im.Channels))
+	writeU32(&buf, uint32(im.Height))
+	writeU32(&buf, uint32(im.Width))
+	writeU64(&buf, im.Scale)
+	batch, err := encodeCiphertextBatch(im.CTs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf.Write(batch)
+	return buf.Bytes()
+}
+
+// TestCipherImageAutoDetectsBothVersions: the network decoder accepts the
+// seeded encoding (reported as WireV2, sized exactly as
+// SeededCipherImageSize says, decrypting to the public-key path's pixels)
+// and refuses the retired v1 encoding of the same image.
 func TestCipherImageAutoDetectsBothVersions(t *testing.T) {
 	params := testParams(t)
 	svc := testService(t, params)
 	client := testClient(t, svc)
 	img := tinyImage(32)
 
-	legacy, err := client.encryptImageScalar(img, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := MarshalCipherImage(legacy)
+	pk, err := client.encryptImageScalar(img, 63)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +93,8 @@ func TestCipherImageAutoDetectsBothVersions(t *testing.T) {
 		t.Fatalf("v2 payload %d bytes, SeededCipherImageSize says %d", len(v2), SeededCipherImageSize(seeded))
 	}
 
-	gotV1, ver, err := UnmarshalCipherImageAuto(v1, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver != WireV1 {
-		t.Fatalf("legacy payload detected as version %d", ver)
+	if _, _, err := UnmarshalCipherImageAuto(fixedWidthImageV1(t, pk), params); err == nil {
+		t.Fatal("v1 payload accepted by the network decoder")
 	}
 	gotV2, ver, err := UnmarshalCipherImageAuto(v2, params)
 	if err != nil {
@@ -92,7 +103,7 @@ func TestCipherImageAutoDetectsBothVersions(t *testing.T) {
 	if ver != WireV2 {
 		t.Fatalf("seeded payload detected as version %d", ver)
 	}
-	p1, err := client.DecryptValues(gotV1.CTs)
+	p1, err := client.DecryptValues(pk.CTs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +113,7 @@ func TestCipherImageAutoDetectsBothVersions(t *testing.T) {
 	}
 	for i := range p1 {
 		if p1[i] != p2[i] {
-			t.Fatalf("pixel %d decodes differently across versions: %d vs %d", i, p1[i], p2[i])
+			t.Fatalf("pixel %d decodes differently across upload forms: %d vs %d", i, p1[i], p2[i])
 		}
 	}
 }
@@ -142,8 +153,9 @@ func TestPackedCipherImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCiphertextBatchAnyBothFormats: reply decoding accepts legacy and v2
-// packed batches, bit-identically.
+// TestCiphertextBatchAnyBothFormats: reply decoding round-trips the packed
+// batch bit-identically at the size CiphertextBatchPackedSize says, smaller
+// than the fixed-width ECALL batch, and refuses that ECALL batch.
 func TestCiphertextBatchAnyBothFormats(t *testing.T) {
 	params := testParams(t)
 	svc := testService(t, params)
@@ -155,33 +167,34 @@ func TestCiphertextBatchAnyBothFormats(t *testing.T) {
 	}
 	cts := ci.CTs[:4]
 
-	v1, err := MarshalCiphertextBatch(cts)
+	fixed, err := encodeCiphertextBatch(cts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := MarshalCiphertextBatchPacked(cts)
+	packed, err := MarshalCiphertextBatchPacked(cts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v2) != CiphertextBatchPackedSize(cts) {
-		t.Fatalf("packed batch %d bytes, CiphertextBatchPackedSize says %d", len(v2), CiphertextBatchPackedSize(cts))
+	if len(packed) != CiphertextBatchPackedSize(cts) {
+		t.Fatalf("packed batch %d bytes, CiphertextBatchPackedSize says %d", len(packed), CiphertextBatchPackedSize(cts))
 	}
-	if len(v2) >= len(v1) {
-		t.Fatalf("packed batch %dB not smaller than legacy %dB", len(v2), len(v1))
+	if len(packed) >= len(fixed) {
+		t.Fatalf("packed batch %dB not smaller than fixed-width %dB", len(packed), len(fixed))
 	}
-	for name, payload := range map[string][]byte{"v1": v1, "v2": v2} {
-		got, err := UnmarshalCiphertextBatchAny(payload, params)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(cts) {
-			t.Fatalf("%s: got %d cts, want %d", name, len(got), len(cts))
-		}
-		for i := range cts {
-			for p := range cts[i].Polys {
-				if !got[i].Polys[p].Equal(cts[i].Polys[p]) {
-					t.Fatalf("%s: ciphertext %d poly %d mismatch", name, i, p)
-				}
+	if _, err := UnmarshalCiphertextBatchAny(fixed, params); err == nil {
+		t.Fatal("fixed-width ECALL batch accepted by the network decoder")
+	}
+	got, err := UnmarshalCiphertextBatchAny(packed, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cts) {
+		t.Fatalf("got %d cts, want %d", len(got), len(cts))
+	}
+	for i := range cts {
+		for p := range cts[i].Polys {
+			if !got[i].Polys[p].Equal(cts[i].Polys[p]) {
+				t.Fatalf("ciphertext %d poly %d mismatch", i, p)
 			}
 		}
 	}
@@ -190,7 +203,7 @@ func TestCiphertextBatchAnyBothFormats(t *testing.T) {
 // TestSeededUploadReductionPaperImage is the headline acceptance number: a
 // 28×28 single-channel cipher image (the paper's MNIST input, 784
 // ciphertexts) at the production parameter set must shrink at least 2× when
-// uploaded in seeded v2 form instead of the legacy v1 encoding.
+// uploaded in seeded form instead of as fixed-width public-key ciphertexts.
 func TestSeededUploadReductionPaperImage(t *testing.T) {
 	params, err := DefaultHybridParameters()
 	if err != nil {
@@ -226,16 +239,13 @@ func TestSeededUploadReductionPaperImage(t *testing.T) {
 		}
 	}
 
-	v1, err := MarshalCipherImage(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := fixedWidthImageV1(t, legacy)
 	v2, err := MarshalSeededCipherImage(seeded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ratio := float64(len(v1)) / float64(len(v2))
-	t.Logf("28×28 upload: legacy v1 %d bytes, seeded v2 %d bytes — %.2f× reduction",
+	t.Logf("28×28 upload: fixed-width %d bytes, seeded %d bytes — %.2f× reduction",
 		len(v1), len(v2), ratio)
 	if ratio < 2 {
 		t.Fatalf("seeded upload reduction %.2f× below the required 2× (v1 %dB, v2 %dB)",
@@ -331,4 +341,101 @@ func TestCipherImageV2RejectsHugeCount(t *testing.T) {
 	if _, err := UnmarshalCiphertextBatchAny(buf.Bytes(), params); err == nil {
 		t.Fatal("batch count beyond payload accepted")
 	}
+}
+
+// TestCipherImageAutoRefusesForeignEncodings: every header the writers never
+// emit — unknown flag bits, seeded|packed, slot-packed without packed, bare
+// or on an otherwise valid image — and the retired or foreign element
+// encodings come back as errors. The bare headers claim a
+// geometry-consistent multi-billion element count, so a decoder that reached
+// its count-sized allocation before refusing the flags would be caught by
+// the allocation bound (or the OOM killer).
+func TestCipherImageAutoRefusesForeignEncodings(t *testing.T) {
+	params := testParams(t)
+	svc := testService(t, params)
+	client := testClient(t, svc)
+	pk, err := client.encryptImageScalar(tinyImage(39), 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := client.EncryptImageSeeded(tinyImage(39), 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range foreignEncodings(t, pk, seeded) {
+		name, payload := c.name, c.payload
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ver, err := UnmarshalCipherImageAuto(payload, params)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if ver != WireV2 {
+			t.Errorf("%s: version %d, want the one network version", name, ver)
+		}
+		// The fixed-width-element case legitimately allocates for the
+		// ciphertexts its payload really holds; everything else must be
+		// refused from the header.
+		if got := after.TotalAlloc - before.TotalAlloc; name != "fixed-width element in packed image" && got > 1<<16 {
+			t.Errorf("%s: refused after allocating %d bytes", name, got)
+		}
+	}
+}
+
+// foreignEncodings builds the payloads the network image decoder must refuse,
+// shared by the table test and the fuzz seed corpus.
+func foreignEncodings(tb testing.TB, pk *CipherImage, seeded *SeededCipherImage) []foreignEncoding {
+	tb.Helper()
+	header := func(flags byte) []byte {
+		var buf bytes.Buffer
+		c, h, w := 1023, 1<<14, 256
+		if err := writeImageV2Header(&buf, flags, c, h, w, 63, c*h*w); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Whole, otherwise valid images whose flags byte gained a bit.
+	reflag := func(valid []byte, flags byte) []byte {
+		b := bytes.Clone(valid)
+		b[4] = flags
+		return b
+	}
+	validSeeded, err := MarshalSeededCipherImage(seeded)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var validPacked bytes.Buffer
+	if err := WriteCipherImagePacked(&validPacked, pk); err != nil {
+		tb.Fatal(err)
+	}
+	// A valid packed header over fixed-width (ECALL ABI) ciphertext frames.
+	var mixed bytes.Buffer
+	if err := writeImageV2Header(&mixed, imgFlagPacked, pk.Channels, pk.Height, pk.Width, pk.Scale, len(pk.CTs)); err != nil {
+		tb.Fatal(err)
+	}
+	for _, ct := range pk.CTs {
+		if err := ct.Write(&mixed); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return []foreignEncoding{
+		{"no flags", header(0)},
+		{"seeded|packed", header(imgFlagSeeded | imgFlagPacked)},
+		{"seeded|slot-packed", header(imgFlagSeeded | imgFlagSlotPacked)},
+		{"slot-packed alone", header(imgFlagSlotPacked)},
+		{"all three", header(imgFlagSeeded | imgFlagPacked | imgFlagSlotPacked)},
+		{"unknown bit beside seeded", header(imgFlagSeeded | 1<<3)},
+		{"unknown high bit beside packed", header(imgFlagPacked | 1<<7)},
+		{"valid seeded image flagged seeded|packed", reflag(validSeeded, imgFlagSeeded|imgFlagPacked)},
+		{"valid seeded image with an unknown bit", reflag(validSeeded, imgFlagSeeded|1<<3)},
+		{"valid packed image with an unknown bit", reflag(validPacked.Bytes(), imgFlagPacked|1<<7)},
+		{"v1 image", fixedWidthImageV1(tb, pk)},
+		{"fixed-width element in packed image", mixed.Bytes()},
+	}
+}
+
+type foreignEncoding struct {
+	name    string
+	payload []byte
 }

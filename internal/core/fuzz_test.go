@@ -10,10 +10,12 @@ import (
 )
 
 // FuzzUnmarshalCipherImageAuto drives the network-facing cipher-image
-// decoder with hostile bytes across both wire versions. Any input must
+// decoder with hostile bytes: valid seeded and packed images, the retired v1
+// encoding, headers with flag combinations no writer emits, and a
+// fixed-width (ECALL ABI) ciphertext inside a packed image. Any input must
 // error or produce a geometry-consistent, fully validated image — never
 // panic, and never allocate count-sized storage the payload cannot back
-// (the seeded/packed v2 header carries an attacker-controlled count).
+// (the header carries an attacker-controlled count).
 // Setup stays deliberately light (no attestation, no evaluation keys): the
 // instrumented fuzz workers re-run it per process.
 func FuzzUnmarshalCipherImageAuto(f *testing.F) {
@@ -47,10 +49,7 @@ func FuzzUnmarshalCipherImageAuto(f *testing.F) {
 		}
 		si.CTs = append(si.CTs, sc)
 	}
-	legacy, err := MarshalCipherImage(ci)
-	if err != nil {
-		f.Fatal(err)
-	}
+	legacy := fixedWidthImageV1(f, ci)
 	seeded, err := MarshalSeededCipherImage(si)
 	if err != nil {
 		f.Fatal(err)
@@ -73,13 +72,20 @@ func FuzzUnmarshalCipherImageAuto(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(hostile.Bytes())
+	for _, c := range foreignEncodings(f, ci, si) {
+		f.Add(c.payload)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, _, err := UnmarshalCipherImageAuto(data, params)
 		if err != nil {
 			return
 		}
-		if im.Channels*im.Height*im.Width != len(im.CTs) {
+		want := im.Channels * im.Height * im.Width
+		if im.Packed {
+			want = im.Channels
+		}
+		if want != len(im.CTs) {
 			t.Fatalf("accepted image geometry %dx%dx%d holds %d ciphertexts",
 				im.Channels, im.Height, im.Width, len(im.CTs))
 		}

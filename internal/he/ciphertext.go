@@ -138,27 +138,30 @@ func (ct *Ciphertext) Validate() error {
 	return nil
 }
 
-// ciphertextMagic guards serialized ciphertext framing (v1: fixed 8-byte
-// coefficients). ciphertextMagicV2 tags the packed layout: a flags byte
-// followed by ceil(log2 q)-bit packed coefficient vectors. Distinct magics
-// act as the version negotiation — ReadCiphertextAny dispatches on whichever
-// arrives, so legacy frames keep decoding.
+// ciphertextMagic tags the fixed-width codec (8 bytes per coefficient): the
+// in-process ECALL ABI between the untrusted runtime and the enclave, read
+// only by ReadCiphertext and never reachable from a socket.
+// ciphertextMagicV2 tags the packed layout, the only ciphertext encoding the
+// network carries: a flags byte followed by ceil(log2 q)-bit packed
+// coefficient vectors. The magics differ so neither decoder accepts the
+// other's frames.
 const (
 	ciphertextMagic   = uint32(0xC17E57F1)
 	ciphertextMagicV2 = uint32(0xC17E57F2)
 )
 
-// Ciphertext wire-format flags (v2 frames).
+// Packed-ciphertext flags.
 const (
 	// ctFlagPacked marks bit-packed coefficient vectors (always set by this
 	// writer; reserved so a future layout can clear it).
 	ctFlagPacked byte = 1 << 0
 )
 
-// Write serializes the ciphertext. The parameter set is identified by
-// (N, Q, T) so the receiver can reject mismatched parameters. Evaluation-form
-// ciphertexts are rejected loudly: the wire format is coefficient-domain
-// only, and silently emitting NTT coefficients would decrypt to garbage.
+// Write serializes the ciphertext in the fixed-width ECALL ABI layout. The
+// parameter set is identified by (N, Q, T) so the receiver can reject
+// mismatched parameters. Evaluation-form ciphertexts are rejected loudly:
+// both codecs are coefficient-domain only, and silently emitting NTT
+// coefficients would decrypt to garbage.
 func (ct *Ciphertext) Write(w io.Writer) error {
 	if ct.Form != CoeffForm {
 		return fmt.Errorf("he: cannot serialize %v-form ciphertext; call ToCoeff first", ct.Form)
@@ -199,21 +202,20 @@ func (ct *Ciphertext) PackedSize() int {
 	return 29 + len(ct.Polys)*ring.PackedPolySize(ct.Params.N, width)
 }
 
-// MinCiphertextWireSize returns the smallest encoding any ciphertext under
-// params can occupy across both wire formats — a size-2 v2 packed frame
-// (packed coefficients are strictly narrower than the legacy 8-byte layout).
-// Decoders use it to reject element counts the remaining payload cannot
-// possibly hold, before allocating count-sized storage.
+// MinCiphertextWireSize returns the smallest encoding a ciphertext under
+// params can occupy on the network — a size-2 packed frame. Decoders use it
+// to reject element counts the remaining payload cannot possibly hold,
+// before allocating count-sized storage.
 func MinCiphertextWireSize(params Parameters) int {
 	width := ring.CoeffBits(params.Q)
 	return 29 + 2*ring.PackedPolySize(params.N, width)
 }
 
-// WritePacked serializes the ciphertext in the v2 packed layout:
+// WritePacked serializes the ciphertext in the packed network layout:
 // [magic u32][flags u8][n u32][q u64][t u64][size u32] followed by each
 // polynomial bit-packed at ceil(log2 q) bits per coefficient — ~10% smaller
-// than the legacy 8-byte layout for the 58-bit default modulus. Like Write,
-// it refuses evaluation-form ciphertexts loudly.
+// than the fixed-width layout for the 58-bit default modulus. Like Write, it
+// refuses evaluation-form ciphertexts loudly.
 func (ct *Ciphertext) WritePacked(w io.Writer) error {
 	if ct.Form != CoeffForm {
 		return fmt.Errorf("he: cannot serialize %v-form ciphertext; call ToCoeff first", ct.Form)
@@ -241,7 +243,7 @@ func (ct *Ciphertext) WritePacked(w io.Writer) error {
 }
 
 // readCiphertextBody parses the post-magic remainder of a ciphertext frame.
-// packed selects the v2 coefficient codec.
+// packed selects the bit-packed coefficient codec.
 func readCiphertextBody(r io.Reader, params Parameters, packed bool) (*Ciphertext, error) {
 	var (
 		n, size uint32
@@ -282,8 +284,8 @@ func readCiphertextBody(r io.Reader, params Parameters, packed bool) (*Ciphertex
 	return ct, nil
 }
 
-// ReadCiphertext deserializes a legacy (v1) ciphertext and validates it
-// against params.
+// ReadCiphertext deserializes a fixed-width (ECALL ABI) ciphertext and
+// validates it against params.
 func ReadCiphertext(r io.Reader, params Parameters) (*Ciphertext, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
@@ -295,27 +297,22 @@ func ReadCiphertext(r io.Reader, params Parameters) (*Ciphertext, error) {
 	return readCiphertextBody(r, params, false)
 }
 
-// ReadCiphertextAny deserializes a ciphertext in whichever format arrives:
-// legacy v1 (fixed 8-byte coefficients) or v2 packed. The leading magic is
-// the version byte of the negotiation — old senders keep working unchanged.
-func ReadCiphertextAny(r io.Reader, params Parameters) (*Ciphertext, error) {
+// ReadCiphertextPacked deserializes a packed (network) ciphertext and
+// validates it against params.
+func ReadCiphertextPacked(r io.Reader, params Parameters) (*Ciphertext, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
 		return nil, fmt.Errorf("he: read ciphertext header: %w", err)
 	}
-	switch magic {
-	case ciphertextMagic:
-		return readCiphertextBody(r, params, false)
-	case ciphertextMagicV2:
-		var flags byte
-		if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-			return nil, fmt.Errorf("he: read ciphertext flags: %w", err)
-		}
-		if flags&ctFlagPacked == 0 {
-			return nil, fmt.Errorf("he: v2 ciphertext without packed flag (flags %#x)", flags)
-		}
-		return readCiphertextBody(r, params, true)
-	default:
-		return nil, fmt.Errorf("he: bad ciphertext magic %#x", magic)
+	if magic != ciphertextMagicV2 {
+		return nil, fmt.Errorf("he: bad packed ciphertext magic %#x", magic)
 	}
+	var flags byte
+	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
+		return nil, fmt.Errorf("he: read ciphertext flags: %w", err)
+	}
+	if flags&ctFlagPacked == 0 {
+		return nil, fmt.Errorf("he: packed ciphertext without packed flag (flags %#x)", flags)
+	}
+	return readCiphertextBody(r, params, true)
 }

@@ -231,10 +231,11 @@ func FuzzReadSeededCiphertext(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalCiphertextAny drives the version-dispatching reader with both
-// wire generations plus hostile mutations: v1 fixed-width, v2 bit-packed,
-// and garbage must all decode-or-error without panicking.
-func FuzzUnmarshalCiphertextAny(f *testing.F) {
+// FuzzUnmarshalCiphertextPacked drives the network ciphertext reader with a
+// packed frame, a fixed-width (ECALL ABI) frame, and hostile mutations: all
+// must decode-or-error without panicking, and nothing carrying the
+// fixed-width magic may be accepted.
+func FuzzUnmarshalCiphertextPacked(f *testing.F) {
 	params := fuzzParams(f)
 	kg, err := NewKeyGenerator(params, ring.NewSeededSource(9))
 	if err != nil {
@@ -265,9 +266,12 @@ func FuzzUnmarshalCiphertextAny(f *testing.F) {
 	f.Add(crossed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := UnmarshalCiphertextAny(data, params)
+		got, err := UnmarshalCiphertextPacked(data, params)
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(data, v1[:4]) {
+			t.Fatal("network reader accepted the fixed-width magic")
 		}
 		if verr := got.Validate(); verr != nil {
 			t.Fatalf("accepted ciphertext fails validation: %v", verr)

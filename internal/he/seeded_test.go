@@ -152,8 +152,8 @@ func TestSeededCiphertextWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSeededUploadHalvesBytes: the seeded form must be at most ~55% of the
-// legacy fixed-width public-key ciphertext encoding at the same parameters.
+// TestSeededUploadHalvesBytes: the seeded form must be at most half of the
+// fixed-width public-key ciphertext encoding at the same parameters.
 func TestSeededUploadHalvesBytes(t *testing.T) {
 	tc, senc := newSymmetricContext(t, 80)
 	pt := randomPlaintext(tc, ring.NewSeededSource(81), 32)
@@ -179,9 +179,9 @@ func TestSeededUploadHalvesBytes(t *testing.T) {
 	}
 }
 
-// TestPackedCiphertextRoundTrip: the v2 bit-packed whole-ciphertext encoding
-// decodes bit-identically via the version-dispatching reader, and the legacy
-// v1 encoding still decodes through the same entry point.
+// TestPackedCiphertextRoundTrip: the bit-packed network encoding decodes
+// bit-identically, is smaller than the fixed-width ECALL ABI encoding, and
+// neither reader accepts the other codec's frames.
 func TestPackedCiphertextRoundTrip(t *testing.T) {
 	tc := newTestContext(t, 90)
 	ct, err := tc.enc.EncryptScalar(123)
@@ -195,18 +195,14 @@ func TestPackedCiphertextRoundTrip(t *testing.T) {
 	if len(packed) != ct.PackedSize() {
 		t.Fatalf("packed %d bytes, PackedSize says %d", len(packed), ct.PackedSize())
 	}
-	legacy, err := MarshalCiphertext(ct)
+	fixed, err := MarshalCiphertext(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(packed) >= len(legacy) {
-		t.Fatalf("packed encoding %dB not smaller than legacy %dB", len(packed), len(legacy))
+	if len(packed) >= len(fixed) {
+		t.Fatalf("packed encoding %dB not smaller than fixed-width %dB", len(packed), len(fixed))
 	}
-	fromPacked, err := UnmarshalCiphertextAny(packed, tc.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromLegacy, err := UnmarshalCiphertextAny(legacy, tc.params)
+	fromPacked, err := UnmarshalCiphertextPacked(packed, tc.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +210,12 @@ func TestPackedCiphertextRoundTrip(t *testing.T) {
 		if !fromPacked.Polys[i].Equal(ct.Polys[i]) {
 			t.Fatalf("packed round trip changed poly %d", i)
 		}
-		if !fromLegacy.Polys[i].Equal(ct.Polys[i]) {
-			t.Fatalf("legacy round trip changed poly %d", i)
-		}
+	}
+	if _, err := UnmarshalCiphertextPacked(fixed, tc.params); err == nil {
+		t.Fatal("network reader accepted a fixed-width (ECALL ABI) frame")
+	}
+	if _, err := UnmarshalCiphertext(packed, tc.params); err == nil {
+		t.Fatal("ECALL ABI reader accepted a packed frame")
 	}
 }
 

@@ -208,7 +208,7 @@ func ReadEvaluationKeys(r io.Reader) (*EvaluationKeys, error) {
 	return ek, nil
 }
 
-// MarshalCiphertext renders a ciphertext to bytes.
+// MarshalCiphertext renders a ciphertext to bytes (fixed-width ECALL ABI).
 func MarshalCiphertext(ct *Ciphertext) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := ct.Write(&buf); err != nil {
@@ -217,12 +217,12 @@ func MarshalCiphertext(ct *Ciphertext) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalCiphertext parses a ciphertext from bytes.
+// UnmarshalCiphertext parses a fixed-width (ECALL ABI) ciphertext from bytes.
 func UnmarshalCiphertext(b []byte, params Parameters) (*Ciphertext, error) {
 	return ReadCiphertext(bytes.NewReader(b), params)
 }
 
-// MarshalCiphertextPacked renders a ciphertext in the v2 packed layout.
+// MarshalCiphertextPacked renders a ciphertext in the packed network layout.
 func MarshalCiphertextPacked(ct *Ciphertext) ([]byte, error) {
 	w := newAppendWriter(make([]byte, 0, ct.PackedSize()))
 	if err := ct.WritePacked(w); err != nil {
@@ -231,9 +231,9 @@ func MarshalCiphertextPacked(ct *Ciphertext) ([]byte, error) {
 	return w.b, nil
 }
 
-// UnmarshalCiphertextAny parses a ciphertext in either wire format.
-func UnmarshalCiphertextAny(b []byte, params Parameters) (*Ciphertext, error) {
-	return ReadCiphertextAny(bytes.NewReader(b), params)
+// UnmarshalCiphertextPacked parses a packed (network) ciphertext from bytes.
+func UnmarshalCiphertextPacked(b []byte, params Parameters) (*Ciphertext, error) {
+	return ReadCiphertextPacked(bytes.NewReader(b), params)
 }
 
 // UnmarshalSeededCiphertext parses a seed-compressed ciphertext from bytes.

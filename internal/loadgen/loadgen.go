@@ -96,8 +96,6 @@ type Config struct {
 	Shapes []Shape
 	// PixelScale is the fixed-point pixel scale (default 63).
 	PixelScale uint64
-	// Legacy forces the v1 wire encoding.
-	Legacy bool
 	// Trace turns on distributed tracing: every request carries a
 	// client-minted trace ID and the per-stage server latencies come back
 	// in flight reports (default true via cmd; the zero value here is
@@ -359,7 +357,7 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	// is not the phenomenon under test.
 	clients := make([]*wire.Client, cfg.Clients)
 	for i := range clients {
-		opts := []wire.ClientOption{wire.WithLegacyFormat(cfg.Legacy)}
+		var opts []wire.ClientOption
 		if cfg.Trace {
 			opts = append(opts, wire.WithClientTracer(nil))
 		}

@@ -21,15 +21,13 @@ import (
 
 // Client is the smart-device side of the protocol: it attests the edge
 // server's enclave, receives HE keys over the attested channel, and
-// submits encrypted inference queries. Uploads default to the v2 seeded
-// format (c0 + 32-byte expansion seed per pixel, bit-packed coefficients),
-// roughly half the bytes of the legacy encoding; the WithLegacyFormat dial
-// option forces the v1 format for compatibility testing and ablation.
+// submits encrypted inference queries. Scalar uploads are seed-compressed
+// (c0 + 32-byte expansion seed per pixel, bit-packed coefficients), roughly
+// half the bytes of a two-polynomial ciphertext.
 type Client struct {
 	conn     net.Conn
 	inner    *core.Client
 	verifier *attest.Service
-	legacy   bool
 	// readBuf is reused across Infer replies so steady-state querying pays
 	// one reply-sized allocation per connection, not per request.
 	readBuf []byte
@@ -46,12 +44,6 @@ type Client struct {
 
 // ClientOption customizes a Client at Dial time.
 type ClientOption func(*Client)
-
-// WithLegacyFormat forces v1 fixed-width public-key uploads instead of the
-// seeded v2 default — the compatibility path a pre-v2 client exercises.
-func WithLegacyFormat(on bool) ClientOption {
-	return func(c *Client) { c.legacy = on }
-}
 
 // WithClientTracer turns on distributed tracing: the client mints a trace
 // ID per inference, carries it to the server in a MsgTraced envelope, and
@@ -149,19 +141,33 @@ func Dial(addr string, verifier *attest.Service, opts ...ClientOption) (*Client,
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// call is one handshake exchange: a buffered request frame out, one reply
+// frame back, a MsgError reply surfaced as *ServerError and any type but
+// want refused.
+func (c *Client) call(req MsgType, payload []byte, want MsgType) ([]byte, error) {
+	if err := WriteFrame(c.conn, req, payload); err != nil {
+		return nil, err
+	}
+	t, reply, err := ReadFrame(c.conn)
+	if err != nil {
+		return nil, err
+	}
+	if t == MsgError {
+		return nil, DecodeError(reply)
+	}
+	if t != want {
+		return nil, fmt.Errorf("wire: expected reply type %d, got type %d", want, t)
+	}
+	return reply, nil
+}
+
 // FetchTrustBundle asks the server for its measurement and platform key
 // and registers them with the verifier. This is trust-on-first-use and
 // belongs in demos only; production deployments pin these values.
 func (c *Client) FetchTrustBundle() error {
-	if err := WriteFrame(c.conn, MsgTrustRequest, nil); err != nil {
-		return err
-	}
-	t, payload, err := ReadFrame(c.conn)
+	payload, err := c.call(MsgTrustRequest, nil, MsgTrustBundle)
 	if err != nil {
 		return err
-	}
-	if t != MsgTrustBundle {
-		return fmt.Errorf("wire: expected trust bundle, got type %d", t)
 	}
 	if len(payload) < 33 {
 		return fmt.Errorf("wire: trust bundle too short")
@@ -184,19 +190,9 @@ func (c *Client) Attest() error {
 	if err != nil {
 		return err
 	}
-	payload := append(nonce[:], c.inner.ECDHPublicKey()...)
-	if err := WriteFrame(c.conn, MsgAttestRequest, payload); err != nil {
-		return err
-	}
-	t, reply, err := ReadFrame(c.conn)
+	reply, err := c.call(MsgAttestRequest, append(nonce[:], c.inner.ECDHPublicKey()...), MsgAttestReply)
 	if err != nil {
 		return err
-	}
-	if t == MsgError {
-		return DecodeError(reply)
-	}
-	if t != MsgAttestReply {
-		return fmt.Errorf("wire: expected attest reply, got type %d", t)
 	}
 	quote, err := attest.UnmarshalQuote(reply)
 	if err != nil {
@@ -228,160 +224,73 @@ func (c *Client) UploadGaloisKeys(steps []int, baseBits int) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteFrame(c.conn, MsgGaloisKeys, payload); err != nil {
-		return err
-	}
-	t, reply, err := ReadFrame(c.conn)
-	if err != nil {
-		return err
-	}
-	if t == MsgError {
-		return DecodeError(reply)
-	}
-	if t != MsgGaloisKeysAck {
-		return fmt.Errorf("wire: expected galois keys ack, got type %d", t)
-	}
-	return nil
+	_, err = c.call(MsgGaloisKeys, payload, MsgGaloisKeysAck)
+	return err
 }
 
-// InferPacked slot-packs the image into one ciphertext per channel
-// (Client.EncryptImagePacked's layout: pixel (y, x) at slot y·W + x),
-// submits it, and returns decrypted logits. The server must run an engine
-// planned with packed convolution; uploading Galois keys first
-// (UploadGaloisKeys) saves it an enclave key-generation round trip. The
-// v1 wire format cannot carry the slot-packed layout, so a legacy-format
-// client cannot use this path.
-func (c *Client) InferPacked(img *nn.Tensor, pixelScale uint64) ([]float64, error) {
+// requestBody is an encrypted image ready to stream to the server.
+type requestBody struct {
+	// size is the exact number of bytes write emits.
+	size  int
+	write func(io.Writer) error
+	// cts is the number of ciphertexts uploaded (encrypt-span telemetry).
+	cts int
+	// lanes is the number of images sharing the ciphertexts' CRT slots; a
+	// lane-batch request frames it ahead of the image and the reply echoes it.
+	lanes int
+}
+
+// roundTrip is the one client exchange behind Infer, InferPacked and
+// InferBatch: encrypt, stream the request, read the reply, hand the
+// encrypted logits and the server-reported output scale to decrypt. inner is
+// MsgInferRequest or MsgInferBatchRequest; the batch form differs only in the
+// 4-byte lane count framed ahead of the image and echoed ahead of the scale.
+//
+// With a tracer every call is a distributed trace: spans for the client-side
+// stages, the trace ID carried in a MsgTraced envelope, the server subtree
+// grafted back from the reply. Without one, tr is nil and every
+// span/envelope step no-ops into exactly the untraced wire exchange.
+func (c *Client) roundTrip(name string, inner MsgType, encrypt func() (requestBody, error),
+	decrypt func(logits []*he.Ciphertext, outScale float64) error) error {
 	if !c.Ready() {
-		return nil, fmt.Errorf("wire: attest before inferring")
+		return fmt.Errorf("wire: attest before inferring")
 	}
-	if c.legacy {
-		return nil, fmt.Errorf("wire: slot-packed images need the v2 wire format")
-	}
-	tr := c.tracer.Start("client.infer_packed")
+	batch := inner == MsgInferBatchRequest
+	tr := c.tracer.Start(name)
 	defer c.retire(tr)
 	ctx := trace.With(context.Background(), tr)
-	reqType, reqHdr := c.requestFraming(tr, MsgInferRequest)
+	// The traced envelope when tr is live, the plain inner type otherwise.
+	reqType, reqHdr := inner, []byte(nil)
+	if tr != nil {
+		reqType, reqHdr = MsgTraced, AppendTracedHeader(nil, inner, tr.ID, TracedFlagReturnSpans)
+	}
 
 	_, espan := trace.StartSpan(ctx, "client.encrypt", "client")
-	ci, err := c.inner.EncryptImagePacked(img, pixelScale)
+	body, err := encrypt()
 	if err != nil {
 		espan.End()
-		return nil, err
+		return err
 	}
-	espan.Arg("cts", float64(len(ci.CTs))).End()
+	espan.Arg("cts", float64(body.cts))
+	if batch {
+		espan.Arg("lanes", float64(body.lanes))
+		reqHdr = binary.LittleEndian.AppendUint32(reqHdr, uint32(body.lanes))
+	}
+	espan.End()
 
+	// The request streams straight to the socket: its exact size is known up
+	// front, so no cipher image is ever buffered whole.
 	_, uspan := trace.StartSpan(ctx, "client.upload", "client")
-	size := len(reqHdr) + core.CipherImagePackedSize(ci)
+	size := len(reqHdr) + body.size
 	err = WriteFrameFunc(c.conn, reqType, size, func(w io.Writer) error {
 		if len(reqHdr) > 0 {
 			if _, werr := w.Write(reqHdr); werr != nil {
 				return werr
 			}
 		}
-		return core.WriteCipherImagePacked(w, ci)
+		return body.write(w)
 	})
 	uspan.Arg("bytes", float64(size)).End()
-	if err != nil {
-		var partial *PartialFrameError
-		if errors.As(err, &partial) {
-			_ = c.conn.Close()
-		}
-		return nil, err
-	}
-
-	_, wspan := trace.StartSpan(ctx, "client.wait", "client")
-	t, reply, err := ReadFrameReuse(c.conn, c.readBuf)
-	wspan.End()
-	if err != nil {
-		return nil, err
-	}
-	if cap(reply) > cap(c.readBuf) {
-		c.readBuf = reply[:cap(reply)]
-	}
-	t, reply, err = c.openReply(tr, t, reply)
-	if err != nil {
-		return nil, err
-	}
-	if t == MsgError {
-		return nil, DecodeError(reply)
-	}
-	if t != MsgInferReply {
-		return nil, fmt.Errorf("wire: expected infer reply, got type %d", t)
-	}
-	if len(reply) < 8 {
-		return nil, fmt.Errorf("wire: infer reply too short")
-	}
-	outScale := math.Float64frombits(binary.LittleEndian.Uint64(reply[:8]))
-	if outScale <= 0 || math.IsNaN(outScale) || math.IsInf(outScale, 0) {
-		return nil, fmt.Errorf("wire: invalid output scale %g", outScale)
-	}
-	_, dspan := trace.StartSpan(ctx, "client.decrypt", "client")
-	defer dspan.End()
-	logits, err := core.UnmarshalCiphertextBatchAny(reply[8:], c.inner.Params)
-	if err != nil {
-		return nil, err
-	}
-	return c.inner.DecryptLogits(logits, outScale)
-}
-
-// Infer encrypts the image, submits it, and returns decrypted logits
-// (float, rescaled by the server-reported output scale). The default upload
-// path encrypts under the secret key in seed-compressed form and streams
-// the request straight to the socket; the server answers in the same wire
-// version it received.
-func (c *Client) Infer(img *nn.Tensor, pixelScale uint64) ([]float64, error) {
-	if !c.Ready() {
-		return nil, fmt.Errorf("wire: attest before inferring")
-	}
-	// With a tracer every call is a distributed trace: spans for the
-	// client-side stages, the trace ID carried in a MsgTraced envelope, the
-	// server subtree grafted back from the reply. Without one, tr is nil
-	// and every span/envelope step no-ops into exactly the untraced wire
-	// exchange.
-	tr := c.tracer.Start("client.infer")
-	defer c.retire(tr)
-	ctx := trace.With(context.Background(), tr)
-	reqType, reqHdr := c.requestFraming(tr, MsgInferRequest)
-
-	_, espan := trace.StartSpan(ctx, "client.encrypt", "client")
-	var upload func() (int, error)
-	if c.legacy {
-		ci, err := c.inner.EncryptImages([]*nn.Tensor{img}, pixelScale)
-		if err != nil {
-			espan.End()
-			return nil, err
-		}
-		payload, err := core.MarshalCipherImage(ci)
-		if err != nil {
-			espan.End()
-			return nil, err
-		}
-		buf := append(reqHdr, payload...)
-		upload = func() (int, error) { return len(buf), WriteFrame(c.conn, reqType, buf) }
-	} else {
-		si, err := c.inner.EncryptImageSeeded(img, pixelScale)
-		if err != nil {
-			espan.End()
-			return nil, err
-		}
-		size := len(reqHdr) + core.SeededCipherImageSize(si)
-		upload = func() (int, error) {
-			return size, WriteFrameFunc(c.conn, reqType, size, func(w io.Writer) error {
-				if len(reqHdr) > 0 {
-					if _, werr := w.Write(reqHdr); werr != nil {
-						return werr
-					}
-				}
-				return core.WriteSeededCipherImage(w, si)
-			})
-		}
-	}
-	espan.End()
-
-	_, uspan := trace.StartSpan(ctx, "client.upload", "client")
-	n, err := upload()
-	uspan.Arg("bytes", float64(n)).End()
 	if err != nil {
 		// An upload that died mid-stream desynchronized the framing; no
 		// further request can be framed on this connection.
@@ -389,53 +298,54 @@ func (c *Client) Infer(img *nn.Tensor, pixelScale uint64) ([]float64, error) {
 		if errors.As(err, &partial) {
 			_ = c.conn.Close()
 		}
-		return nil, err
+		return err
 	}
 
 	_, wspan := trace.StartSpan(ctx, "client.wait", "client")
 	t, reply, err := ReadFrameReuse(c.conn, c.readBuf)
 	wspan.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cap(reply) > cap(c.readBuf) {
 		c.readBuf = reply[:cap(reply)]
 	}
 	t, reply, err = c.openReply(tr, t, reply)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if t == MsgError {
 		// Surface the typed failure: callers branch on *ServerError (e.g.
 		// back off when Code is CodeOverloaded) via errors.As.
-		return nil, DecodeError(reply)
+		return DecodeError(reply)
 	}
-	if t != MsgInferReply {
-		return nil, fmt.Errorf("wire: expected infer reply, got type %d", t)
+	want, hdrLen := MsgInferReply, 8
+	if batch {
+		want, hdrLen = MsgInferBatchReply, 4+8
 	}
-	if len(reply) < 8 {
-		return nil, fmt.Errorf("wire: infer reply too short")
+	if t != want {
+		return fmt.Errorf("wire: expected reply type %d, got type %d", want, t)
 	}
-	outScale := math.Float64frombits(binary.LittleEndian.Uint64(reply[:8]))
+	if len(reply) < hdrLen {
+		return fmt.Errorf("wire: infer reply too short")
+	}
+	if batch {
+		if got := int(binary.LittleEndian.Uint32(reply)); got != body.lanes {
+			return fmt.Errorf("wire: reply carries %d lanes, sent %d", got, body.lanes)
+		}
+		reply = reply[4:]
+	}
+	outScale := math.Float64frombits(binary.LittleEndian.Uint64(reply))
 	if outScale <= 0 || math.IsNaN(outScale) || math.IsInf(outScale, 0) {
-		return nil, fmt.Errorf("wire: invalid output scale %g", outScale)
+		return fmt.Errorf("wire: invalid output scale %g", outScale)
 	}
 	_, dspan := trace.StartSpan(ctx, "client.decrypt", "client")
 	defer dspan.End()
 	logits, err := core.UnmarshalCiphertextBatchAny(reply[8:], c.inner.Params)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return c.inner.DecryptLogits(logits, outScale)
-}
-
-// requestFraming resolves a request's frame type and envelope header: the
-// traced envelope when tr is live, the plain inner type otherwise.
-func (c *Client) requestFraming(tr *trace.Trace, inner MsgType) (MsgType, []byte) {
-	if tr == nil {
-		return inner, nil
-	}
-	return MsgTraced, AppendTracedHeader(nil, inner, tr.ID, TracedFlagReturnSpans)
+	return decrypt(logits, outScale)
 }
 
 // openReply unwraps a MsgTracedReply envelope: the blob is absorbed into
@@ -454,6 +364,60 @@ func (c *Client) openReply(tr *trace.Trace, t MsgType, reply []byte) (MsgType, [
 	return inner, rest, nil
 }
 
+// packedBody is the request body of a bit-packed (public-key) cipher image.
+func packedBody(ci *core.CipherImage) requestBody {
+	return requestBody{
+		size:  core.CipherImagePackedSize(ci),
+		write: func(w io.Writer) error { return core.WriteCipherImagePacked(w, ci) },
+		cts:   len(ci.CTs),
+		lanes: ci.Lanes,
+	}
+}
+
+// inferLogits is roundTrip for a single image: the reply decrypts to one
+// logit vector, rescaled by the server-reported output scale.
+func (c *Client) inferLogits(name string, encrypt func() (requestBody, error)) ([]float64, error) {
+	var out []float64
+	err := c.roundTrip(name, MsgInferRequest, encrypt,
+		func(logits []*he.Ciphertext, outScale float64) (err error) {
+			out, err = c.inner.DecryptLogits(logits, outScale)
+			return err
+		})
+	return out, err
+}
+
+// Infer encrypts the image under the secret key in seed-compressed form,
+// submits it, and returns decrypted logits (float, rescaled by the
+// server-reported output scale).
+func (c *Client) Infer(img *nn.Tensor, pixelScale uint64) ([]float64, error) {
+	return c.inferLogits("client.infer", func() (requestBody, error) {
+		si, err := c.inner.EncryptImageSeeded(img, pixelScale)
+		if err != nil {
+			return requestBody{}, err
+		}
+		return requestBody{
+			size:  core.SeededCipherImageSize(si),
+			write: func(w io.Writer) error { return core.WriteSeededCipherImage(w, si) },
+			cts:   len(si.CTs),
+		}, nil
+	})
+}
+
+// InferPacked slot-packs the image into one ciphertext per channel
+// (Client.EncryptImagePacked's layout: pixel (y, x) at slot y·W + x),
+// submits it, and returns decrypted logits. The server must run an engine
+// planned with packed convolution; uploading Galois keys first
+// (UploadGaloisKeys) saves it an enclave key-generation round trip.
+func (c *Client) InferPacked(img *nn.Tensor, pixelScale uint64) ([]float64, error) {
+	return c.inferLogits("client.infer_packed", func() (requestBody, error) {
+		ci, err := c.inner.EncryptImagePacked(img, pixelScale)
+		if err != nil {
+			return requestBody{}, err
+		}
+		return packedBody(ci), nil
+	})
+}
+
 // InferBatch slot-packs a batch of same-shape images into shared
 // ciphertexts (one ciphertext per pixel position, image k in CRT slot k),
 // submits them as one lane-batched request, and returns per-image logits:
@@ -462,9 +426,6 @@ func (c *Client) openReply(tr *trace.Trace, t MsgType, reply []byte) (MsgType, [
 // batching-capable plaintext modulus (prime t ≡ 1 mod 2n); a batch of one
 // degrades to a scalar Infer round trip.
 func (c *Client) InferBatch(imgs []*nn.Tensor, pixelScale uint64) ([][]float64, error) {
-	if !c.Ready() {
-		return nil, fmt.Errorf("wire: attest before inferring")
-	}
 	if len(imgs) == 0 {
 		return nil, fmt.Errorf("wire: empty image batch")
 	}
@@ -475,111 +436,30 @@ func (c *Client) InferBatch(imgs []*nn.Tensor, pixelScale uint64) ([][]float64, 
 		}
 		return [][]float64{logits}, nil
 	}
-	tr := c.tracer.Start("client.infer_batch")
-	defer c.retire(tr)
-	ctx := trace.With(context.Background(), tr)
-	reqType, reqHdr := c.requestFraming(tr, MsgInferBatchRequest)
-
-	_, espan := trace.StartSpan(ctx, "client.encrypt", "client")
-	ci, err := c.inner.EncryptImages(imgs, pixelScale)
-	if err != nil {
-		espan.End()
-		return nil, err
-	}
-	lanes := ci.Lanes
-	var laneHdr [4]byte
-	binary.LittleEndian.PutUint32(laneHdr[:], uint32(lanes))
-	var upload func() (int, error)
-	if c.legacy {
-		payload, err := core.MarshalCipherImage(ci)
-		if err != nil {
-			espan.End()
-			return nil, err
-		}
-		buf := make([]byte, 0, len(reqHdr)+4+len(payload))
-		buf = append(buf, reqHdr...)
-		buf = append(buf, laneHdr[:]...)
-		buf = append(buf, payload...)
-		upload = func() (int, error) { return len(buf), WriteFrame(c.conn, reqType, buf) }
-	} else {
-		size := len(reqHdr) + 4 + core.CipherImagePackedSize(ci)
-		upload = func() (int, error) {
-			return size, WriteFrameFunc(c.conn, reqType, size, func(w io.Writer) error {
-				if len(reqHdr) > 0 {
-					if _, werr := w.Write(reqHdr); werr != nil {
-						return werr
-					}
+	var out [][]float64
+	err := c.roundTrip("client.infer_batch", MsgInferBatchRequest,
+		func() (requestBody, error) {
+			ci, err := c.inner.EncryptImages(imgs, pixelScale)
+			if err != nil {
+				return requestBody{}, err
+			}
+			return packedBody(ci), nil
+		},
+		func(cts []*he.Ciphertext, outScale float64) error {
+			vals, err := c.inner.DecryptValueBatch(cts, len(imgs))
+			if err != nil {
+				return err
+			}
+			out = make([][]float64, len(vals))
+			for i, row := range vals {
+				out[i] = make([]float64, len(row))
+				for j, v := range row {
+					out[i][j] = float64(v) / outScale
 				}
-				if _, werr := w.Write(laneHdr[:]); werr != nil {
-					return werr
-				}
-				return core.WriteCipherImagePacked(w, ci)
-			})
-		}
-	}
-	espan.Arg("lanes", float64(lanes)).End()
-
-	_, uspan := trace.StartSpan(ctx, "client.upload", "client")
-	n, err := upload()
-	uspan.Arg("bytes", float64(n)).End()
-	if err != nil {
-		// An upload that died mid-stream desynchronized the framing; no
-		// further request can be framed on this connection.
-		var partial *PartialFrameError
-		if errors.As(err, &partial) {
-			_ = c.conn.Close()
-		}
-		return nil, err
-	}
-
-	_, wspan := trace.StartSpan(ctx, "client.wait", "client")
-	t, reply, err := ReadFrameReuse(c.conn, c.readBuf)
-	wspan.End()
-	if err != nil {
-		return nil, err
-	}
-	if cap(reply) > cap(c.readBuf) {
-		c.readBuf = reply[:cap(reply)]
-	}
-	t, reply, err = c.openReply(tr, t, reply)
-	if err != nil {
-		return nil, err
-	}
-	if t == MsgError {
-		return nil, DecodeError(reply)
-	}
-	if t != MsgInferBatchReply {
-		return nil, fmt.Errorf("wire: expected infer batch reply, got type %d", t)
-	}
-	if len(reply) < 12 {
-		return nil, fmt.Errorf("wire: infer batch reply too short")
-	}
-	gotLanes := int(binary.LittleEndian.Uint32(reply[:4]))
-	if gotLanes != lanes {
-		return nil, fmt.Errorf("wire: reply carries %d lanes, sent %d", gotLanes, lanes)
-	}
-	outScale := math.Float64frombits(binary.LittleEndian.Uint64(reply[4:12]))
-	if outScale <= 0 || math.IsNaN(outScale) || math.IsInf(outScale, 0) {
-		return nil, fmt.Errorf("wire: invalid output scale %g", outScale)
-	}
-	_, dspan := trace.StartSpan(ctx, "client.decrypt", "client")
-	defer dspan.End()
-	cts, err := core.UnmarshalCiphertextBatchAny(reply[12:], c.inner.Params)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := c.inner.DecryptValueBatch(cts, lanes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, lanes)
-	for i, row := range vals {
-		out[i] = make([]float64, len(row))
-		for j, v := range row {
-			out[i][j] = float64(v) / outScale
-		}
-	}
-	return out, nil
+			}
+			return nil
+		})
+	return out, err
 }
 
 // Predict returns the argmax class for an image.
@@ -595,11 +475,4 @@ func (c *Client) Predict(img *nn.Tensor, pixelScale uint64) (int, error) {
 		}
 	}
 	return best, nil
-}
-
-// appendFloat64 appends the IEEE-754 bits of f in little-endian order.
-func appendFloat64(b []byte, f float64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-	return append(b, tmp[:]...)
 }

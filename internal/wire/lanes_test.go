@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"log/slog"
 	mrand "math/rand/v2"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,7 +121,7 @@ func attestedClient(t *testing.T, addr string, opts ...ClientOption) *Client {
 // TestInferBatchRoundTrip: a client-packed lane batch over the wire must
 // decrypt to exactly the per-image results of scalar round trips.
 func TestInferBatchRoundTrip(t *testing.T) {
-	addr, st, _, shutdown := testStackLanes(t)
+	addr, _, _, shutdown := testStackLanes(t)
 	defer shutdown()
 	client := attestedClient(t, addr)
 
@@ -148,29 +151,6 @@ func TestInferBatchRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if st.metrics.Counter("wire.requests_v2").Value() == 0 {
-		t.Fatal("batch request not counted as v2")
-	}
-}
-
-// TestInferBatchLegacyFormat drives the same round trip over the v1 wire
-// encoding (WithLegacyFormat at Dial), verifying version mirroring.
-func TestInferBatchLegacyFormat(t *testing.T) {
-	addr, st, _, shutdown := testStackLanes(t)
-	defer shutdown()
-	client := attestedClient(t, addr, WithLegacyFormat(true))
-
-	imgs := []*nn.Tensor{testImage(20), testImage(21)}
-	batched, err := client.InferBatch(imgs, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != 2 || len(batched[0]) != 4 {
-		t.Fatalf("unexpected result shape %dx%d", len(batched), len(batched[0]))
-	}
-	if st.metrics.Counter("wire.requests_v1").Value() == 0 {
-		t.Fatal("legacy batch request not counted as v1")
-	}
 }
 
 // TestInferBatchOfOneDegradesToScalar: the unified API accepts a batch of
@@ -188,45 +168,48 @@ func TestInferBatchOfOneDegradesToScalar(t *testing.T) {
 	}
 }
 
-// TestServerRejectsBadLaneCount: a lane count exceeding the ring degree is
-// a bad request, not a server fault.
+// TestServerRejectsBadLaneCount: a lane count outside [1, n] is a bad
+// request naming the lane count, refused from the four header bytes — the
+// bytes behind them are garbage here, so an answer that blames the image
+// means the decoder ran first — and the connection serves the next request.
 func TestServerRejectsBadLaneCount(t *testing.T) {
 	addr, _, _, shutdown := testStackLanes(t)
 	defer shutdown()
 	client := attestedClient(t, addr)
+	n := client.Params().N
 
-	ci, err := clientInner(client).EncryptImages([]*nn.Tensor{testImage(40), testImage(41)}, 63)
+	ci, err := client.inner.EncryptImages([]*nn.Tensor{testImage(40), testImage(41)}, 63)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 4)
-	payload[0] = 0xff
-	payload[1] = 0xff
-	payload[2] = 0xff
-	payload[3] = 0x7f
-	body, err := core.MarshalCipherImage(ci)
-	if err != nil {
+	var valid bytes.Buffer
+	if err := core.WriteCipherImagePacked(&valid, ci); err != nil {
 		t.Fatal(err)
 	}
-	payload = append(payload, body...)
-	if err := WriteFrame(clientConn(client), MsgInferBatchRequest, payload); err != nil {
-		t.Fatal(err)
+	for _, lanes := range []uint32{0, uint32(n) + 1, 0x7fffffff} {
+		for name, body := range map[string][]byte{"valid image": valid.Bytes(), "garbage": []byte("not a cipher image")} {
+			payload := binary.LittleEndian.AppendUint32(nil, lanes)
+			payload = append(payload, body...)
+			if err := WriteFrame(client.conn, MsgInferBatchRequest, payload); err != nil {
+				t.Fatal(err)
+			}
+			mt, reply, err := ReadFrame(client.conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mt != MsgError {
+				t.Fatalf("lanes %d over %s: message type %d, want error frame", lanes, name, mt)
+			}
+			serr := DecodeError(reply)
+			if serr.Code != CodeBadRequest || !strings.Contains(serr.Msg, "lane count") {
+				t.Fatalf("lanes %d over %s: got %v, want a bad request naming the lane count", lanes, name, serr)
+			}
+		}
 	}
-	mt, reply, err := ReadFrame(clientConn(client))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt != MsgError {
-		t.Fatalf("got message type %d, want error frame", mt)
-	}
-	if serr := DecodeError(reply); serr.Code != CodeBadRequest {
-		t.Fatalf("got %v, want bad-request server error", serr)
+	if _, err := client.InferBatch([]*nn.Tensor{testImage(40), testImage(41)}, 63); err != nil {
+		t.Fatalf("connection unusable after refused lane counts: %v", err)
 	}
 }
-
-// Accessors for white-box poking from the same package.
-func clientInner(c *Client) *core.Client { return c.inner }
-func clientConn(c *Client) net.Conn      { return c.conn }
 
 // TestLanePackedFusedStageHungUpLaneMate is the end-to-end run of the
 // default plan behind the lane packer: three vehicles' uploads share one

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"sync"
 
@@ -276,10 +277,8 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, t MsgType, payload
 		return s.handleTrust(conn)
 	case MsgAttestRequest:
 		return s.handleAttest(conn, payload)
-	case MsgInferRequest:
-		return s.handleInfer(ctx, conn, payload)
-	case MsgInferBatchRequest:
-		return s.handleInferBatch(ctx, conn, payload)
+	case MsgInferRequest, MsgInferBatchRequest:
+		return s.handleInfer(ctx, conn, t, payload)
 	case MsgTraced:
 		return s.handleTraced(ctx, conn, payload)
 	case MsgGaloisKeys:
@@ -339,7 +338,9 @@ func (s *Server) handleAttest(conn net.Conn, payload []byte) error {
 	return s.writeFrame(conn, MsgAttestReply, qb)
 }
 
-func (s *Server) handleInfer(ctx context.Context, conn net.Conn, payload []byte) error {
+// handleInfer serves an untraced inference request (inner is MsgInferRequest
+// or MsgInferBatchRequest) under a server-minted trace.
+func (s *Server) handleInfer(ctx context.Context, conn net.Conn, inner MsgType, payload []byte) error {
 	// The server-minted trace opens before decode and finishes just before
 	// the reply frame is written (replyFraming), exactly like a traced
 	// request's: once a client holds its reply, the request's trace and
@@ -348,7 +349,7 @@ func (s *Server) handleInfer(ctx context.Context, conn net.Conn, payload []byte)
 	tr := s.tracer.Start("request")
 	ctx = trace.With(ctx, tr)
 	defer s.tracer.Finish(tr)
-	if err := s.serveInfer(ctx, conn, payload, &replyEnvelope{srv: s, tr: tr, plain: true}); err != nil {
+	if err := s.serveInfer(ctx, conn, inner, payload, &replyEnvelope{srv: s, tr: tr, plain: true}); err != nil {
 		return &tracedError{traceID: trace.ID(ctx), err: err}
 	}
 	return nil
@@ -370,13 +371,10 @@ func (s *Server) handleTraced(ctx context.Context, conn net.Conn, payload []byte
 	// must ride the reply), making this a no-op; on error paths it retains
 	// the partial trace.
 	defer s.tracer.Finish(tr)
-	env := &replyEnvelope{srv: s, tr: tr, withSpans: flags&TracedFlagReturnSpans != 0}
-	switch inner {
-	case MsgInferRequest:
-		err = s.serveInfer(ctx, conn, rest, env)
-	case MsgInferBatchRequest:
-		err = s.serveInferBatch(ctx, conn, rest, env)
-	default:
+	if inner == MsgInferRequest || inner == MsgInferBatchRequest {
+		env := &replyEnvelope{srv: s, tr: tr, withSpans: flags&TracedFlagReturnSpans != 0}
+		err = s.serveInfer(ctx, conn, inner, rest, env)
+	} else {
 		err = &badRequestError{fmt.Errorf("wire: message type %d cannot carry trace context", inner)}
 	}
 	if err != nil {
@@ -404,13 +402,19 @@ type tracedBlob struct {
 	Report *report.FlightReport `json:"report,omitempty"`
 }
 
-// prefix renders the MsgTracedReply header + blob for an inner reply type.
-// It finishes the trace first (through the tracer, so the flight recorder
-// and report hook see it) — the snapshot must be complete before the reply
-// frame carrying it is encoded, which is why a traced trace's span tree
-// ends at the reply-encode boundary rather than after it: the client's
-// wait span covers the encode + network time from the outside.
-func (e *replyEnvelope) prefix(inner MsgType) []byte {
+// replyFraming finishes the request's trace and resolves how the reply is
+// framed: the plain inner type for an untraced request, MsgTracedReply with
+// the header + trace blob as a prefix for a traced one. The trace is
+// finished first (through the tracer, so the flight recorder and report hook
+// see it) — the snapshot must be complete before the reply frame carrying it
+// is encoded, which is why a traced trace's span tree ends at the
+// reply-encode boundary rather than after it: the client's wait span covers
+// the encode + network time from the outside.
+func (e *replyEnvelope) replyFraming(inner MsgType) (MsgType, []byte) {
+	if e.plain {
+		e.srv.tracer.Finish(e.tr)
+		return inner, nil
+	}
 	var blob []byte
 	if e.withSpans && e.tr != nil {
 		e.srv.tracer.Finish(e.tr)
@@ -422,75 +426,59 @@ func (e *replyEnvelope) prefix(inner MsgType) []byte {
 	p := make([]byte, TracedReplyHeaderSize, TracedReplyHeaderSize+len(blob))
 	p[0] = byte(inner)
 	binary.LittleEndian.PutUint32(p[1:5], uint32(len(blob)))
-	return append(p, blob...)
+	return MsgTracedReply, append(p, blob...)
 }
 
-// replyFraming finishes the request's trace and resolves how a serve path
-// frames its reply: enveloped with the trace blob for a traced request, the
-// plain inner type for an untraced one.
-func (e *replyEnvelope) replyFraming(inner MsgType) (MsgType, []byte) {
-	if e.plain {
-		e.srv.tracer.Finish(e.tr)
-		return inner, nil
-	}
-	return MsgTracedReply, e.prefix(inner)
-}
-
-func (s *Server) serveInfer(ctx context.Context, conn net.Conn, payload []byte, env *replyEnvelope) error {
-	// Version negotiation happens per request: the decoder reports which
-	// wire format arrived (legacy fixed-width v1 or seeded/packed v2) and
-	// the reply mirrors it, so legacy clients keep talking to this server
-	// while v2 clients get packed replies.
+// serveInfer is the one inference handler. A lane batch (inner
+// MsgInferBatchRequest: the client packed several images into the
+// ciphertexts' CRT slots) differs from a scalar request only in the 4-byte
+// lane count it reads ahead of the image, stamps onto it so the engine runs
+// one slot-vector pass, and echoes ahead of the output scale.
+func (s *Server) serveInfer(ctx context.Context, conn net.Conn, inner MsgType, payload []byte, env *replyEnvelope) error {
+	batch := inner == MsgInferBatchRequest
 	_, dspan := trace.StartSpan(ctx, "wire.decode", "wire")
-	img, version, err := core.UnmarshalCipherImageAuto(payload, s.svc.Params())
-	dspan.Arg("bytes", float64(len(payload))).End()
+	img, err := s.decodeInferRequest(batch, payload)
+	dspan.Arg("bytes", float64(len(payload)))
+	if batch && img != nil {
+		dspan.Arg("lanes", float64(img.Lanes))
+	}
+	dspan.End()
 	s.metrics.ObserveHistogram("wire.request_bytes", float64(len(payload)))
 	if err != nil {
-		return &badRequestError{fmt.Errorf("wire: decoding cipher image: %w", err)}
+		return &badRequestError{err}
 	}
-	if version == core.WireV2 {
-		s.metrics.Counter("wire.requests_v2").Inc()
-	} else {
-		s.metrics.Counter("wire.requests_v1").Inc()
-	}
-	logits, outScale, err := s.runInfer(ctx, img)
+	res, err := s.service.Infer(ctx, serve.Request{Image: img})
 	if err != nil {
 		return fmt.Errorf("wire: inference: %w", err)
 	}
+	// [lane count u32, lane batches only][output scale f64].
+	var hdr [4 + 8]byte
+	replyInner, n := MsgInferReply, 0
+	if batch {
+		replyInner, n = MsgInferBatchReply, 4
+		binary.LittleEndian.PutUint32(hdr[:], uint32(img.Lanes))
+	}
+	binary.LittleEndian.PutUint64(hdr[n:], math.Float64bits(res.OutScale))
+	n += 8
 	// The framing is resolved first: it finishes the trace (and, for traced
 	// requests, snapshots it into the envelope prefix), so the server span
 	// tree is complete before any reply byte hits the wire.
-	replyType, prefix := env.replyFraming(MsgInferReply)
+	replyType, prefix := env.replyFraming(replyInner)
 	_, espan := trace.StartSpan(ctx, "wire.encode", "wire")
-	var replyLen int
-	if version == core.WireV2 {
-		// Packed batch, streamed straight to the connection: the exact size
-		// is known up front, so no intermediate buffer is materialized.
-		replyLen = len(prefix) + 8 + core.CiphertextBatchPackedSize(logits)
-		err = WriteFrameFunc(conn, replyType, replyLen, func(w io.Writer) error {
-			if len(prefix) > 0 {
-				if _, werr := w.Write(prefix); werr != nil {
-					return werr
-				}
-			}
-			if _, werr := w.Write(float64Bytes(outScale)); werr != nil {
+	// The packed logits stream straight to the connection: the exact size is
+	// known up front, so no intermediate buffer is materialized.
+	replyLen := len(prefix) + n + core.CiphertextBatchPackedSize(res.Logits)
+	err = WriteFrameFunc(conn, replyType, replyLen, func(w io.Writer) error {
+		if len(prefix) > 0 {
+			if _, werr := w.Write(prefix); werr != nil {
 				return werr
 			}
-			return core.WriteCiphertextBatchPacked(w, logits)
-		})
-	} else {
-		var batch []byte
-		if batch, err = core.MarshalCiphertextBatch(logits); err != nil {
-			espan.End()
-			return err
 		}
-		out := make([]byte, 0, len(prefix)+8+len(batch))
-		out = append(out, prefix...)
-		out = appendFloat64(out, outScale)
-		out = append(out, batch...)
-		replyLen = len(out)
-		err = WriteFrame(conn, replyType, out)
-	}
+		if _, werr := w.Write(hdr[:n]); werr != nil {
+			return werr
+		}
+		return core.WriteCiphertextBatchPacked(w, res.Logits)
+	})
 	espan.Arg("bytes", float64(replyLen)).End()
 	if err != nil {
 		return err
@@ -499,110 +487,35 @@ func (s *Server) serveInfer(ctx context.Context, conn net.Conn, payload []byte, 
 	s.metrics.ObserveHistogram("wire.reply_bytes", float64(replyLen))
 	s.logger.Info("inference served",
 		"remote", conn.RemoteAddr(),
-		"logits", len(logits),
+		"lanes", img.Lanes,
+		"logits", len(res.Logits),
 		"trace_id", trace.ID(ctx))
 	return nil
 }
 
-// runInfer executes one decoded request on the serving stack.
-func (s *Server) runInfer(ctx context.Context, img *core.CipherImage) ([]*he.Ciphertext, float64, error) {
-	res, err := s.service.Infer(ctx, serve.Request{Image: img})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Logits, res.OutScale, nil
-}
-
-func (s *Server) handleInferBatch(ctx context.Context, conn net.Conn, payload []byte) error {
-	tr := s.tracer.Start("request")
-	ctx = trace.With(ctx, tr)
-	defer s.tracer.Finish(tr)
-	if err := s.serveInferBatch(ctx, conn, payload, &replyEnvelope{srv: s, tr: tr, plain: true}); err != nil {
-		return &tracedError{traceID: trace.ID(ctx), err: err}
-	}
-	return nil
-}
-
-// serveInferBatch answers a client-packed lane batch: the payload's lane
-// count is stamped onto the decoded image so the engine runs one
-// slot-vector pass, and the reply echoes the lane count ahead of the
-// packed logits, mirroring the request's wire version.
-func (s *Server) serveInferBatch(ctx context.Context, conn net.Conn, payload []byte, env *replyEnvelope) error {
-	_, dspan := trace.StartSpan(ctx, "wire.decode", "wire")
-	if len(payload) < 4 {
-		dspan.End()
-		return &badRequestError{fmt.Errorf("wire: infer batch request too short")}
-	}
-	lanes := int(binary.LittleEndian.Uint32(payload[:4]))
-	img, version, err := core.UnmarshalCipherImageAuto(payload[4:], s.svc.Params())
-	dspan.Arg("bytes", float64(len(payload))).Arg("lanes", float64(lanes)).End()
-	s.metrics.ObserveHistogram("wire.request_bytes", float64(len(payload)))
-	if err != nil {
-		return &badRequestError{fmt.Errorf("wire: decoding cipher image: %w", err)}
-	}
-	if lanes < 1 || lanes > s.svc.Params().N {
-		return &badRequestError{fmt.Errorf("wire: lane count %d out of range [1, %d]", lanes, s.svc.Params().N)}
-	}
-	img.Lanes = lanes
-	if version == core.WireV2 {
-		s.metrics.Counter("wire.requests_v2").Inc()
-	} else {
-		s.metrics.Counter("wire.requests_v1").Inc()
-	}
-	logits, outScale, err := s.runInfer(ctx, img)
-	if err != nil {
-		return fmt.Errorf("wire: inference: %w", err)
-	}
-	replyType, prefix := env.replyFraming(MsgInferBatchReply)
-	_, espan := trace.StartSpan(ctx, "wire.encode", "wire")
-	var laneHdr [4]byte
-	binary.LittleEndian.PutUint32(laneHdr[:], uint32(lanes))
-	var replyLen int
-	if version == core.WireV2 {
-		replyLen = len(prefix) + 4 + 8 + core.CiphertextBatchPackedSize(logits)
-		err = WriteFrameFunc(conn, replyType, replyLen, func(w io.Writer) error {
-			if len(prefix) > 0 {
-				if _, werr := w.Write(prefix); werr != nil {
-					return werr
-				}
-			}
-			if _, werr := w.Write(laneHdr[:]); werr != nil {
-				return werr
-			}
-			if _, werr := w.Write(float64Bytes(outScale)); werr != nil {
-				return werr
-			}
-			return core.WriteCiphertextBatchPacked(w, logits)
-		})
-	} else {
-		var batch []byte
-		if batch, err = core.MarshalCiphertextBatch(logits); err != nil {
-			espan.End()
-			return err
+// decodeInferRequest parses an inference payload. A lane batch's count is
+// read and range-checked first, from its four header bytes: the image
+// decoder, which seed-expands every ciphertext it accepts, never runs for a
+// request whose lane count the engine would refuse.
+func (s *Server) decodeInferRequest(batch bool, payload []byte) (*core.CipherImage, error) {
+	params := s.svc.Params()
+	lanes := 0
+	if batch {
+		if len(payload) < 4 {
+			return nil, fmt.Errorf("wire: infer batch request too short")
 		}
-		out := make([]byte, 0, len(prefix)+4+8+len(batch))
-		out = append(out, prefix...)
-		out = append(out, laneHdr[:]...)
-		out = appendFloat64(out, outScale)
-		out = append(out, batch...)
-		replyLen = len(out)
-		err = WriteFrame(conn, replyType, out)
+		lanes = int(binary.LittleEndian.Uint32(payload))
+		if lanes < 1 || lanes > params.N {
+			return nil, fmt.Errorf("wire: lane count %d out of range [1, %d]", lanes, params.N)
+		}
+		payload = payload[4:]
 	}
-	espan.Arg("bytes", float64(replyLen)).End()
+	img, _, err := core.UnmarshalCipherImageAuto(payload, params)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("wire: decoding cipher image: %w", err)
 	}
-	s.metrics.Counter("wire.bytes_out").Add(int64(replyLen) + frameHeaderSize)
-	s.metrics.ObserveHistogram("wire.reply_bytes", float64(replyLen))
-	s.logger.Info("lane-batched inference served",
-		"remote", conn.RemoteAddr(),
-		"lanes", lanes,
-		"logits", len(logits),
-		"trace_id", trace.ID(ctx))
-	return nil
-}
-
-// float64Bytes renders the IEEE-754 bits of f in little-endian order.
-func float64Bytes(f float64) []byte {
-	return appendFloat64(nil, f)
+	if batch {
+		img.Lanes = lanes
+	}
+	return img, nil
 }

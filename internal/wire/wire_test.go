@@ -492,83 +492,58 @@ func TestClosedPipelineSurfacesTypedShutdownError(t *testing.T) {
 	}
 }
 
-// TestLegacyClientTalksToNewServer is the version-negotiation property: a
-// pre-v2 client (fixed-width public-key uploads) and a v2 client (seeded
-// bit-packed uploads) get identical answers from the same server, and the
-// server's version counters attribute each request to the right format.
-func TestLegacyClientTalksToNewServer(t *testing.T) {
-	addr, st, shutdown := testStackPipeline(t, nil)
-	defer shutdown()
-
-	img := testImage(60)
-
-	legacy := dialAttested(t, addr, WithLegacyFormat(true))
-	fromLegacy, err := legacy.Infer(img, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	modern := dialAttested(t, addr)
-	fromModern, err := modern.Infer(img, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(fromLegacy) != len(fromModern) {
-		t.Fatalf("logit counts differ: %d vs %d", len(fromLegacy), len(fromModern))
-	}
-	for i := range fromLegacy {
-		if fromLegacy[i] != fromModern[i] {
-			t.Fatalf("logit %d differs across wire versions: %g vs %g", i, fromLegacy[i], fromModern[i])
-		}
-	}
-	if got := st.metrics.Counter("wire.requests_v1").Value(); got != 1 {
-		t.Fatalf("wire.requests_v1 = %d, want 1", got)
-	}
-	if got := st.metrics.Counter("wire.requests_v2").Value(); got != 1 {
-		t.Fatalf("wire.requests_v2 = %d, want 1", got)
-	}
-}
-
-// TestSeededUploadSmallerOnWire measures the actual transport payloads: the
-// v2 seeded request histogram must sit at least 2× below a legacy request
-// for the same image.
+// TestSeededUploadSmallerOnWire measures the actual transport payload: the
+// seeded request the server counted is exactly SeededCipherImageSize and at
+// least 2× below the same image as fixed-width public-key ciphertexts.
 func TestSeededUploadSmallerOnWire(t *testing.T) {
 	addr, st, shutdown := testStackPipeline(t, nil)
 	defer shutdown()
 	img := testImage(61)
 
-	modern := dialAttested(t, addr)
-	if _, err := modern.Infer(img, 63); err != nil {
+	client := dialAttested(t, addr)
+	if _, err := client.Infer(img, 63); err != nil {
 		t.Fatal(err)
 	}
-	snap := st.metrics.Histogram("wire.request_bytes").Snapshot()
-	v2Bytes := snap.Max
-
-	legacy := dialAttested(t, addr, WithLegacyFormat(true))
-	if _, err := legacy.Infer(img, 63); err != nil {
+	seeded, err := client.inner.EncryptImageSeeded(img, 63)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap = st.metrics.Histogram("wire.request_bytes").Snapshot()
-	v1Bytes := snap.Max
-	if v1Bytes <= v2Bytes {
-		t.Fatalf("legacy request (%g B) not larger than seeded (%g B)", v1Bytes, v2Bytes)
+	onWire := st.metrics.Histogram("wire.request_bytes").Snapshot().Max
+	if want := float64(core.SeededCipherImageSize(seeded)); onWire != want {
+		t.Fatalf("request payload %g B, SeededCipherImageSize says %g", onWire, want)
 	}
-	if ratio := v1Bytes / v2Bytes; ratio < 2 {
-		t.Fatalf("wire-level upload reduction %.2f× below 2× (v1 %g B, v2 %g B)", ratio, v1Bytes, v2Bytes)
+	pk, err := client.inner.EncryptImages([]*nn.Tensor{img}, 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := 0.0
+	for _, ct := range pk.CTs {
+		fixed += float64(ct.WireSize())
+	}
+	if ratio := fixed / onWire; ratio < 2 {
+		t.Fatalf("wire-level upload reduction %.2f× below 2× (fixed-width %g B, seeded %g B)", ratio, fixed, onWire)
 	}
 	if st.metrics.Counter("wire.bytes_in").Value() <= 0 {
 		t.Fatal("inbound byte counter did not record traffic")
 	}
 	// Outbound accounting follows a successful write, so it can trail the
 	// reply the client already holds: wait for it instead of racing it.
+	waitReplies(t, st.metrics, 1)
+	if st.metrics.Counter("wire.bytes_out").Value() <= 0 {
+		t.Fatal("outbound byte counter did not record traffic")
+	}
+}
+
+// waitReplies blocks until the server has accounted n inference replies
+// (wire.reply_bytes is observed after the reply frame is written and its
+// wire.encode span closed, which can trail the client reading the reply).
+func waitReplies(t *testing.T, reg *stats.Registry, n uint64) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for st.metrics.Histogram("wire.reply_bytes").Snapshot().Count != 2 ||
-		st.metrics.Counter("wire.bytes_out").Value() <= 0 {
+	for reg.Histogram("wire.reply_bytes").Snapshot().Count < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("outbound accounting never caught up: reply_bytes count %d, bytes_out %d",
-				st.metrics.Histogram("wire.reply_bytes").Snapshot().Count,
-				st.metrics.Counter("wire.bytes_out").Value())
+			t.Fatalf("outbound accounting never caught up: %d of %d replies",
+				reg.Histogram("wire.reply_bytes").Snapshot().Count, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
