@@ -684,6 +684,56 @@ func BenchmarkAblationWeightMulScalar(b *testing.B) {
 	}
 }
 
+// BenchmarkWeightedSum25 times one paper conv output — 25 weighted terms at
+// the engine's n=2048 tier — as the per-term multiply-accumulate chain (one
+// Shoup multiply and modular add per term and coefficient) and as the
+// evaluator's lazy-reduction weighted-sum kernel.
+func BenchmarkWeightedSum25(b *testing.B) {
+	params, err := core.DefaultHybridParameters()
+	if err != nil {
+		b.Fatal(err)
+	}
+	eval, err := he.NewEvaluator(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := params.Ring()
+	s := ring.NewSampler(r, ring.NewSeededSource(25))
+	rng := mrand.New(mrand.NewPCG(25, 25))
+	cts := make([]*he.Ciphertext, 25)
+	ws := make([]int64, 25)
+	for i := range cts {
+		cts[i] = he.NewCiphertext(params, 2)
+		for _, p := range cts[i].Polys {
+			s.Uniform(p)
+		}
+		ws[i] = rng.Int64N(17) - 8
+	}
+	lifted := make([]uint64, len(ws))
+	for i, w := range ws {
+		lifted[i] = params.LiftCentered(uint64((w + int64(params.T)) % int64(params.T)))
+	}
+	acc := he.NewCiphertext(params, 2)
+	b.Run("per-term", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k, ct := range cts {
+				for j := range acc.Polys {
+					r.MulScalarAdd(ct.Polys[j], lifted[k], acc.Polys[j])
+				}
+			}
+		}
+	})
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := eval.WeightedSumInto(acc, cts, ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkAblationWeightMulTrueCxP(b *testing.B) {
 	f := getFixture(b)
 	ct, _ := f.enc.EncryptScalar(2)

@@ -648,7 +648,7 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 					cts, h, w, err = e.runPackedConv(s, cts, h, w, stride, gk)
 					c = s.conv.OutC
 				} else {
-					cts, h, w, err = linear.Conv(e.eval, e.scalar, s.conv, s.bias, cts, c, h, w, e.effectiveWorkers())
+					cts, h, w, err = linear.Conv(e.eval, s.conv, s.bias, cts, c, h, w, e.effectiveWorkers())
 					c = s.conv.OutC
 				}
 				scale *= float64(e.cfg.WeightScale)
@@ -681,7 +681,7 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 					cts, err = e.runFCCoeff(s, cts, c*h*w, e.effectiveWorkers())
 					coeffMap = false
 				} else {
-					cts, err = linear.FC(e.eval, e.scalar, s.fc, s.bias, cts, e.effectiveWorkers())
+					cts, err = linear.FC(e.eval, s.fc, s.bias, cts, e.effectiveWorkers())
 				}
 				scale *= float64(e.cfg.WeightScale)
 				c, h, w = len(cts), 1, 1

@@ -269,8 +269,8 @@ func (e *HybridEngine) galoisKeysFor(stride int) (*he.GaloisKeys, error) {
 }
 
 // runPackedConv convolves slot-packed channel ciphertexts: one hoisted
-// rotation per window tap, then K²·InC whole-ciphertext scalar
-// multiply-adds per output channel plus the bias (a constant-coefficient
+// rotation per window tap, then per output channel one weighted sum of each
+// input channel's K² rotations plus the bias (a constant-coefficient
 // plaintext is constant across slots, so the scalar bias encoding carries
 // over unchanged). stride is the slot row stride — the original image
 // width, which output positions keep.
@@ -299,16 +299,9 @@ func (e *HybridEngine) runPackedConv(s *planStep, in []*he.Ciphertext, h, w, str
 			return nil, 0, 0, fmt.Errorf("packed conv channel %d: %w", i, err)
 		}
 		for o := 0; o < q.OutC; o++ {
-			for tap, ky := 0, 0; ky < q.K; ky++ {
-				for kx := 0; kx < q.K; kx, tap = kx+1, tap+1 {
-					wv := q.W[((o*q.InC+i)*q.K+ky)*q.K+kx]
-					if wv == 0 {
-						continue
-					}
-					if err := e.eval.MulScalarAddInto(out[o], rots[tap], e.scalar.EncodeValue(wv)); err != nil {
-						return nil, 0, 0, err
-					}
-				}
+			kernel := q.W[(o*q.InC+i)*len(taps) : (o*q.InC+i+1)*len(taps)]
+			if err := e.eval.WeightedSumInto(out[o], rots, kernel); err != nil {
+				return nil, 0, 0, err
 			}
 		}
 	}

@@ -1,11 +1,14 @@
 package cryptonets
 
 import (
+	"fmt"
 	"math"
 	mrand "math/rand/v2"
+	"slices"
 	"testing"
 
 	"hesgx/internal/he"
+	"hesgx/internal/linear"
 	"hesgx/internal/nn"
 	"hesgx/internal/ring"
 )
@@ -278,5 +281,116 @@ func TestInferRejectsWrongImage(t *testing.T) {
 	}
 	if _, err := engine.Infer(&CipherImage{CTs: make([][]*he.Ciphertext, 1)}); err == nil {
 		t.Fatal("wrong modulus count accepted")
+	}
+}
+
+// perTermChain is the multiply-accumulate chain the weighted-sum kernel
+// replaced: bias + Σ w·ct with one ring.MulScalarAdd per non-zero weight,
+// each lifted as LiftCentered(w mod t), then the dense Δ·bias add.
+func perTermChain(p he.Parameters, cts []*he.Ciphertext, ws []int64, bias *he.Plaintext) *he.Ciphertext {
+	r := p.Ring()
+	acc := he.NewCiphertext(p, cts[0].Size())
+	tm := int64(p.T)
+	for k, w := range ws {
+		if w != 0 {
+			lifted := p.LiftCentered(uint64((w%tm + tm) % tm))
+			for i := range acc.Polys {
+				r.MulScalarAdd(cts[k].Polys[i], lifted, acc.Polys[i])
+			}
+		}
+	}
+	dm := r.NewPoly()
+	r.MulScalar(bias.Poly, p.Delta(), dm)
+	r.Add(acc.Polys[0], dm, acc.Polys[0])
+	return acc
+}
+
+// TestWeightsPastHalfTMatchPerTermChain quantizes the tiny network at a
+// weight scale whose largest weights exceed t/2 for every CRT modulus, so
+// the evaluator's mod-t centring decides how each weight is lifted. Each
+// modulus's conv and FC outputs must equal the per-term chain coefficient for
+// coefficient, and the CRT-reconstructed logits the integer reference.
+func TestWeightsPastHalfTMatchPerTermChain(t *testing.T) {
+	// Weights 32× the usual scale need more CRT range and, through the
+	// square, the noise headroom of a 58-bit modulus.
+	cfg := testConfig()
+	cfg.WeightScale = 256
+	cfg.N, cfg.QBits = 1024, 58
+	cfg.Moduli = []uint64{113, 127, 131, 137, 139, 149, 151}
+	kb, ek, err := GenerateKeys(cfg, ring.NewSeededSource(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := NewEngine(tinyCryptoNet(22), cfg, ek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, fc := engine.steps[0].conv, engine.steps[len(engine.steps)-1].fc
+	var maxW int64
+	for _, w := range append(append([]int64{}, conv.W...), fc.W...) {
+		maxW = max(maxW, absInt64(w))
+	}
+	if maxW <= int64(slices.Max(cfg.Moduli)/2) {
+		t.Fatalf("largest quantized weight %d does not exceed t/2 for every modulus", maxW)
+	}
+	img := tinyImage(23)
+	ci, err := kb.EncryptImage(img, cfg.PixelScale, ring.NewSeededSource(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, p := range engine.params {
+		eval, scal := engine.evals[m], engine.scals[m]
+		convBias := linear.EncodeBias(scal, conv.B)
+		out, oh, ow, err := linear.Conv(eval, conv, convBias, ci.CTs[m], 1, 8, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := make([]int64, conv.K*conv.K)
+		cts := make([]*he.Ciphertext, conv.K*conv.K)
+		for idx, got := range out {
+			o, oy, ox := idx/(oh*ow), idx%(oh*ow)/ow, idx%ow
+			for ky := 0; ky < conv.K; ky++ {
+				for kx := 0; kx < conv.K; kx++ {
+					cts[ky*conv.K+kx] = ci.CTs[m][(oy+ky)*8+ox+kx]
+					ws[ky*conv.K+kx] = conv.WAt(o, 0, ky, kx)
+				}
+			}
+			assertChain(t, fmt.Sprintf("t=%d conv output %d", p.T, idx), got, perTermChain(p, cts, ws, convBias[o]))
+		}
+		in := ci.CTs[m][:fc.In]
+		fcBias := linear.EncodeBias(scal, fc.B)
+		fcOut, err := linear.FC(eval, fc, fcBias, in, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, got := range fcOut {
+			assertChain(t, fmt.Sprintf("t=%d fc output %d", p.T, o), got, perTermChain(p, in, fc.W[o*fc.In:(o+1)*fc.In], fcBias[o]))
+		}
+	}
+	results, err := engine.Infer(ci)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := kb.DecryptCRT(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.ReferenceForward(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("logit %d: encrypted %d != reference %d", i, got[i], want[i])
+		}
+	}
+}
+
+func assertChain(t *testing.T, what string, got, want *he.Ciphertext) {
+	t.Helper()
+	for i := range want.Polys {
+		if !got.Polys[i].Equal(want.Polys[i]) {
+			t.Fatalf("%s: component %d differs from the per-term chain", what, i)
+		}
 	}
 }

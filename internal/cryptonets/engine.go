@@ -197,7 +197,7 @@ func (e *Engine) inferModulus(m int, in []*he.Ciphertext, c, h, w int) ([]*he.Ci
 		// baseline stays the paper's single-threaded pipeline.
 		switch s.kind {
 		case stepConv:
-			cts, h, w, err = linear.Conv(eval, scal, s.conv, linear.EncodeBias(scal, s.conv.B), cts, c, h, w, 1)
+			cts, h, w, err = linear.Conv(eval, s.conv, linear.EncodeBias(scal, s.conv.B), cts, c, h, w, 1)
 			c = s.conv.OutC
 		case stepSquare:
 			cts, err = e.runSquare(m, cts)
@@ -206,7 +206,7 @@ func (e *Engine) inferModulus(m int, in []*he.Ciphertext, c, h, w int) ([]*he.Ci
 		case stepFlatten:
 			// no-op on the flat slice
 		case stepFC:
-			cts, err = linear.FC(eval, scal, s.fc, linear.EncodeBias(scal, s.fc.B), cts, 1)
+			cts, err = linear.FC(eval, s.fc, linear.EncodeBias(scal, s.fc.B), cts, 1)
 			c, h, w = len(cts), 1, 1
 		}
 		if err != nil {

@@ -142,10 +142,11 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	return out, nil
 }
 
-// AddPlainInto computes ct += pt in place with pooled scratch — the
-// allocation-free bias add of the linear layers. The scaled plaintext is
-// lifted into ct's domain, so evaluation-form accumulators take the bias
-// without leaving evaluation form.
+// AddPlainInto computes ct += pt in place — the allocation-free bias add of
+// the linear layers. In coefficient form Δ·mⱼ is added only where mⱼ ≠ 0, so
+// a scalar-encoded bias costs one coefficient rather than n. In evaluation
+// form the scaled plaintext is transformed in pooled scratch, so
+// evaluation-form accumulators take the bias without leaving evaluation form.
 func (ev *Evaluator) AddPlainInto(ct *Ciphertext, pt *Plaintext) error {
 	if err := ev.check(ct); err != nil {
 		return err
@@ -154,11 +155,18 @@ func (ev *Evaluator) AddPlainInto(ct *Ciphertext, pt *Plaintext) error {
 		return fmt.Errorf("he: add plain: %w", err)
 	}
 	r := ev.params.Ring()
+	if ct.Form == CoeffForm {
+		mod, delta, c0 := r.Mod, ev.params.Delta(), ct.Polys[0].Coeffs
+		for j, m := range pt.Poly.Coeffs {
+			if m != 0 {
+				c0[j] = mod.Add(c0[j], mod.Mul(m, delta))
+			}
+		}
+		return nil
+	}
 	dm := r.GetPoly()
 	r.MulScalar(pt.Poly, ev.params.Delta(), dm)
-	if ct.Form == NTTForm {
-		r.NTT(dm)
-	}
+	r.NTT(dm)
 	r.Add(ct.Polys[0], dm, ct.Polys[0])
 	r.PutPoly(dm)
 	return nil
@@ -491,24 +499,59 @@ func (ev *Evaluator) MulScalar(ct *Ciphertext, k uint64) (*Ciphertext, error) {
 	return out, nil
 }
 
-// MulScalarAddInto computes acc += k*ct in place — the fused
-// multiply-accumulate the inference engines use for weighted sums, which
-// avoids allocating a ciphertext per term. acc and ct must have the same
-// size and form.
-func (ev *Evaluator) MulScalarAddInto(acc, ct *Ciphertext, k uint64) error {
-	if err := ev.check(acc, ct); err != nil {
+// weightedSumChunk bounds the terms WeightedSumInto hands the ring kernel per
+// call, so its per-call operand lists live on the stack.
+const weightedSumChunk = 64
+
+// WeightedSumInto computes acc += Σ ws[i]·cts[i] in place — the weighted sum
+// of every plaintext-weight linear layer, one call per output. Each weight is
+// taken mod t and centred, exactly as LiftCentered(EncodeValue(w)) lifts it,
+// and every component is summed by the ring's lazy-reduction kernel, so the
+// result is the residue a term-by-term multiply-accumulate chain produces.
+// acc and every cts[i] must have the same size and form; an empty term list
+// leaves acc unchanged.
+func (ev *Evaluator) WeightedSumInto(acc *Ciphertext, cts []*Ciphertext, ws []int64) error {
+	if err := ev.check(acc); err != nil {
 		return err
 	}
-	if acc.Form != ct.Form {
-		return fmt.Errorf("he: MulScalarAddInto form mismatch (%v vs %v)", acc.Form, ct.Form)
+	if len(cts) != len(ws) {
+		return fmt.Errorf("he: WeightedSumInto has %d ciphertexts but %d weights", len(cts), len(ws))
 	}
-	if acc.Size() != ct.Size() {
-		return fmt.Errorf("he: MulScalarAddInto size mismatch %d vs %d", acc.Size(), ct.Size())
+	for _, ct := range cts {
+		if err := ev.check(ct); err != nil {
+			return err
+		}
+		if acc.Form != ct.Form {
+			return fmt.Errorf("he: WeightedSumInto form mismatch (%v vs %v)", acc.Form, ct.Form)
+		}
+		if acc.Size() != ct.Size() {
+			return fmt.Errorf("he: WeightedSumInto size mismatch %d vs %d", acc.Size(), ct.Size())
+		}
 	}
 	r := ev.params.Ring()
-	lifted := ev.params.LiftCentered(k % ev.params.T)
-	for i := range ct.Polys {
-		r.MulScalarAdd(ct.Polys[i], lifted, acc.Polys[i])
+	t := int64(ev.params.T)
+	var (
+		as      [weightedSumChunk]ring.Poly
+		centred [weightedSumChunk]int64
+	)
+	for lo := 0; lo < len(cts); lo += weightedSumChunk {
+		chunk := cts[lo:min(lo+weightedSumChunk, len(cts))]
+		for k, w := range ws[lo : lo+len(chunk)] {
+			c := w % t
+			if c < 0 {
+				c += t
+			}
+			if c > t/2 {
+				c -= t
+			}
+			centred[k] = c
+		}
+		for i := range acc.Polys {
+			for k, ct := range chunk {
+				as[k] = ct.Polys[i]
+			}
+			r.WeightedSumInto(acc.Polys[i], as[:len(chunk)], centred[:len(chunk)])
+		}
 	}
 	return nil
 }

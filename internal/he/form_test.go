@@ -4,6 +4,8 @@ import (
 	"bytes"
 	mrand "math/rand/v2"
 	"testing"
+
+	"hesgx/internal/ring"
 )
 
 // Tests for ciphertext domain-form tracking: conversions round-trip,
@@ -124,8 +126,8 @@ func TestCoeffOnlyOpsRejectNTTForm(t *testing.T) {
 	if _, err := tc.eval.Add(a, b); err == nil {
 		t.Fatal("Add accepted mixed-form operands")
 	}
-	if err := tc.eval.MulScalarAddInto(b, a, 5); err == nil {
-		t.Fatal("MulScalarAddInto accepted mixed-form operands")
+	if err := tc.eval.WeightedSumInto(b, []*Ciphertext{a}, []int64{5}); err == nil {
+		t.Fatal("WeightedSumInto accepted mixed-form operands")
 	}
 	if err := tc.eval.MulPlainOperandAddInto(a, b, mustOperand(t, tc, 1)); err == nil {
 		t.Fatal("MulPlainOperandAddInto accepted a coefficient-form ct")
@@ -266,6 +268,45 @@ func TestMulPlainOperandNTTFormStaysResident(t *testing.T) {
 	for i := range ref.Polys {
 		if !got.Polys[i].Equal(ref.Polys[i]) {
 			t.Fatalf("resident product poly %d differs", i)
+		}
+	}
+}
+
+// TestAddPlainIntoMatchesDenseScaling pins the bias add, in both forms, to
+// the dense construction it replaces in coefficient form: Δ·m built over all
+// n coefficients, transformed for an NTT-form ciphertext, then added to c0.
+// Plaintexts range from the scalar bias (one coefficient) to fully dense.
+func TestAddPlainIntoMatchesDenseScaling(t *testing.T) {
+	tc := newTestContext(t, 107)
+	r := tc.params.Ring()
+	src := ring.NewSeededSource(107)
+	for _, nonzero := range []int{0, 1, 8, tc.params.N} {
+		pt := randomPlaintext(tc, src, nonzero)
+		pt.Poly.Coeffs[0] = tc.params.T - 1 // the most negative scalar bias
+		for _, form := range []Form{CoeffForm, NTTForm} {
+			ct, err := tc.enc.Encrypt(randomPlaintext(tc, src, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if form == NTTForm {
+				ct.ToNTT()
+			}
+			want := ct.Copy()
+			dm := r.NewPoly()
+			r.MulScalar(pt.Poly, tc.params.Delta(), dm)
+			if form == NTTForm {
+				r.NTT(dm)
+			}
+			r.Add(want.Polys[0], dm, want.Polys[0])
+
+			if err := tc.eval.AddPlainInto(ct, pt); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Polys {
+				if !ct.Polys[i].Equal(want.Polys[i]) {
+					t.Fatalf("%d non-zero coefficients, %v form: poly %d differs from the dense add", nonzero, form, i)
+				}
+			}
 		}
 	}
 }

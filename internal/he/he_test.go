@@ -2,6 +2,8 @@ package he
 
 import (
 	"bytes"
+	"math"
+	mrand "math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -723,48 +725,106 @@ func TestSchoolbookTensorMatchesFastPath(t *testing.T) {
 	}
 }
 
-func TestMulScalarAddIntoMatchesSeparateOps(t *testing.T) {
+// weightedSumChain is the oracle of WeightedSumInto: acc + Σ wᵢ·ctᵢ as one
+// MulScalar and one Add per term, each weight encoded mod t.
+func weightedSumChain(t *testing.T, tc *testContext, acc *Ciphertext, cts []*Ciphertext, ws []int64) *Ciphertext {
+	t.Helper()
+	tm := int64(tc.params.T)
+	for i, w := range ws {
+		scaled, err := tc.eval.MulScalar(cts[i], uint64((w%tm+tm)%tm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc, err = tc.eval.Add(acc, scaled); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return acc
+}
+
+// TestWeightedSumIntoMatchesSeparateOps pins the evaluator's weighted sum to
+// the MulScalar+Add chain coefficient for coefficient, in both forms, for
+// weights whose mod-t centring matters (±t/2, ±(t/2+1), far past t) and for
+// term lists longer than one kernel chunk.
+func TestWeightedSumIntoMatchesSeparateOps(t *testing.T) {
 	tc := newTestContext(t, 140)
 	src := ring.NewSeededSource(800)
-	for trial := 0; trial < 5; trial++ {
-		a := randomPlaintext(tc, src, 8)
-		b := randomPlaintext(tc, src, 8)
-		cta, _ := tc.enc.Encrypt(a)
-		ctb, _ := tc.enc.Encrypt(b)
-		k := src.Uint64() % tc.params.T
-
-		// acc = cta + k*ctb via the fused op.
-		acc := cta.Copy()
-		if err := tc.eval.MulScalarAddInto(acc, ctb, k); err != nil {
-			t.Fatal(err)
-		}
-		// Reference: separate multiply and add.
-		scaled, err := tc.eval.MulScalar(ctb, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := tc.eval.Add(cta, scaled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Polys {
-			if !acc.Polys[i].Equal(want.Polys[i]) {
-				t.Fatalf("trial %d: fused op differs in component %d", trial, i)
+	half := int64(tc.params.T / 2)
+	rng := mrand.New(mrand.NewPCG(140, 800))
+	long := make([]int64, 2*weightedSumChunk+3)
+	for i := range long {
+		long[i] = rng.Int64N(2*half+1) - half
+	}
+	for _, form := range []Form{CoeffForm, NTTForm} {
+		for _, c := range []struct {
+			name string
+			ws   []int64
+		}{
+			{"empty", nil},
+			{"ones", []int64{1, -1, 1, 1, -1}},
+			{"half-t", []int64{half, -half, half + 1, -(half + 1), half}},
+			{"past-t", []int64{int64(tc.params.T) + 3, -5 * int64(tc.params.T), 1 << 40, -(1 << 40) - 1, math.MinInt64, math.MaxInt64}},
+			{"all-negative", []int64{-half, -half, -half, -half, -half, -half, -half}},
+			{"zeros", []int64{0, 0, 3, 0}},
+			{"long", long},
+		} {
+			cts := make([]*Ciphertext, len(c.ws))
+			for i := range cts {
+				cts[i], _ = tc.enc.Encrypt(randomPlaintext(tc, src, 8))
+				if form == NTTForm {
+					cts[i].ToNTT()
+				}
+			}
+			acc, _ := tc.enc.Encrypt(randomPlaintext(tc, src, 8))
+			if form == NTTForm {
+				acc.ToNTT()
+			}
+			want := weightedSumChain(t, tc, acc, cts, c.ws)
+			got := acc.Copy()
+			if err := tc.eval.WeightedSumInto(got, cts, c.ws); err != nil {
+				t.Fatalf("%v %s: %v", form, c.name, err)
+			}
+			for i := range want.Polys {
+				if !got.Polys[i].Equal(want.Polys[i]) {
+					t.Fatalf("%v %s: component %d differs from the MulScalar+Add chain", form, c.name, i)
+				}
 			}
 		}
 	}
 }
 
-func TestMulScalarAddIntoValidation(t *testing.T) {
+func TestWeightedSumIntoValidation(t *testing.T) {
 	tc := newTestContext(t, 141)
 	a, _ := tc.enc.EncryptScalar(1)
 	b, _ := tc.enc.EncryptScalar(2)
 	prod, _ := tc.eval.Mul(a, b) // size 3
-	if err := tc.eval.MulScalarAddInto(prod, a, 1); err == nil {
-		t.Fatal("size mismatch accepted")
+	nttA := a.Copy()
+	nttA.ToNTT()
+	otherParams, err := NewParameters(tc.params.N, tc.params.Q, 17, DefaultDecompositionBase)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := tc.eval.MulScalarAddInto(nil, a, 1); err == nil {
-		t.Fatal("nil acc accepted")
+	other := NewCiphertext(otherParams, 2)
+	for _, c := range []struct {
+		name string
+		acc  *Ciphertext
+		cts  []*Ciphertext
+		ws   []int64
+	}{
+		{"size mismatch", prod, []*Ciphertext{a}, []int64{1}},
+		{"nil acc", nil, []*Ciphertext{a}, []int64{1}},
+		{"nil term", b, []*Ciphertext{a, nil}, []int64{1, 2}},
+		{"form mismatch", b, []*Ciphertext{nttA}, []int64{1}},
+		{"parameter mismatch", b, []*Ciphertext{other}, []int64{1}},
+		{"length mismatch", b, []*Ciphertext{a}, []int64{1, 2}},
+	} {
+		before := []*Ciphertext{b.Copy(), prod.Copy()}
+		if err := tc.eval.WeightedSumInto(c.acc, c.cts, c.ws); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if !b.Polys[0].Equal(before[0].Polys[0]) || !prod.Polys[0].Equal(before[1].Polys[0]) {
+			t.Fatalf("%s: a rejected call changed the accumulator", c.name)
+		}
 	}
 }
 

@@ -172,29 +172,21 @@ func TestNoiseBoundConservative(t *testing.T) {
 				// signed weights, exactly the engine's scalar fast path.
 				const terms = 32
 				var l1 float64
-				var acc *Ciphertext
-				for i := 0; i < terms; i++ {
+				cts := make([]*Ciphertext, terms)
+				ws := make([]int64, terms)
+				for i := range cts {
 					k := int64(rig.rng.IntN(63)) - 31
 					if k >= 0 {
 						l1 += float64(k)
 					} else {
 						l1 -= float64(k)
 					}
-					enc := uint64(k) % params.T
-					if k < 0 {
-						enc = params.T - uint64(-k)%params.T
-					}
-					ct := rig.randomCT(t)
-					if acc == nil {
-						var err error
-						if acc, err = rig.eval.MulScalar(ct, enc); err != nil {
-							t.Fatalf("mul scalar: %v", err)
-						}
-						continue
-					}
-					if err := rig.eval.MulScalarAddInto(acc, ct, enc); err != nil {
-						t.Fatalf("mul scalar add into: %v", err)
-					}
+					ws[i], cts[i] = k, rig.randomCT(t)
+				}
+				acc := NewCiphertext(params, cts[0].Size())
+				acc.Form = cts[0].Form
+				if err := rig.eval.WeightedSumInto(acc, cts, ws); err != nil {
+					t.Fatalf("weighted sum: %v", err)
 				}
 				assertConservative(t, "weighted_sum", fresh.WeightedSum(l1, terms).BudgetBits(), rig.measured(t, acc))
 			})

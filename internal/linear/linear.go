@@ -2,9 +2,11 @@
 // ciphertext per feature-map value, every weight a constant the evaluator
 // multiplies in as a scalar — shared by the hybrid engine (internal/core) and
 // the pure-HE baseline (internal/cryptonets): convolution, fully connected
-// and the k×k window sum in front of a division. Each output position is an
-// independent weighted sum of input ciphertexts, so the kernels shard
-// positions across a worker pool; the FV evaluator is safe for concurrent use.
+// and the k×k window sum in front of a division. Each conv or FC output is an
+// independent weighted sum of input ciphertexts, computed by one call to the
+// evaluator's lazy-reduction kernel (he.Evaluator.WeightedSumInto) over the
+// output's non-zero terms, so the kernels shard positions across a worker
+// pool; the FV evaluator is safe for concurrent use.
 package linear
 
 import (
@@ -92,67 +94,77 @@ func EncodeBias(enc *encoding.ScalarEncoder, b []int64) []*he.Plaintext {
 	return out
 }
 
-// weightedSum accumulates Σ w_i·ct_i + bias for one output position. Zero
-// weights are skipped: they contribute nothing to the value and skipping them
-// adds no noise.
+// weightedSum gathers one output's non-zero (ciphertext, weight) terms and
+// hands them to the evaluator's weighted-sum kernel in one call. Zero weights
+// are skipped: they contribute nothing to the value and skipping them adds no
+// noise.
 type weightedSum struct {
-	eval *he.Evaluator
-	enc  *encoding.ScalarEncoder
-	acc  *he.Ciphertext
+	cts []*he.Ciphertext
+	ws  []int64
 }
 
-func (s *weightedSum) add(ct *he.Ciphertext, w int64) (err error) {
-	switch {
-	case w == 0:
-	case s.acc == nil:
-		s.acc, err = s.eval.MulScalar(ct, s.enc.EncodeValue(w))
-	default:
-		err = s.eval.MulScalarAddInto(s.acc, ct, s.enc.EncodeValue(w))
+func (s *weightedSum) add(ct *he.Ciphertext, w int64) {
+	if w != 0 {
+		s.cts = append(s.cts, ct)
+		s.ws = append(s.ws, w)
 	}
-	return err
 }
 
-// finish adds the bias and returns the sum. An output whose weights are all
-// zero still has to be a ciphertext of the layer's size and parameters: it is
-// 0·in0, for any input in0 of the layer.
-func (s *weightedSum) finish(in0 *he.Ciphertext, bias *he.Plaintext) (*he.Ciphertext, error) {
-	if s.acc == nil {
-		var err error
-		if s.acc, err = s.eval.MulScalar(in0, 0); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.eval.AddPlainInto(s.acc, bias); err != nil {
+// finish returns Σ w_i·ct_i + bias and empties the scratch for the next
+// output. An output whose weights are all zero still has to be a ciphertext
+// of the layer's size, form and parameters: it is 0·in0 + bias, for any input
+// in0 of the layer.
+func (s *weightedSum) finish(eval *he.Evaluator, in0 *he.Ciphertext, bias *he.Plaintext) (*he.Ciphertext, error) {
+	acc := he.NewCiphertext(in0.Params, in0.Size())
+	acc.Form = in0.Form
+	err := eval.WeightedSumInto(acc, s.cts, s.ws)
+	s.cts, s.ws = s.cts[:0], s.ws[:0]
+	if err != nil {
 		return nil, err
 	}
-	return s.acc, nil
+	if err := eval.AddPlainInto(acc, bias); err != nil {
+		return nil, err
+	}
+	return acc, nil
+}
+
+// newSums returns a free list of term scratch, one per output ParallelFor
+// can run at once, each pre-sized to the layer's terms per output so the
+// gathering never grows a slice.
+func newSums(outputs, workers, terms int) chan *weightedSum {
+	n := max(min(workers, outputs), 1)
+	sums := make(chan *weightedSum, n)
+	for range n {
+		sums <- &weightedSum{cts: make([]*he.Ciphertext, 0, terms), ws: make([]int64, 0, terms)}
+	}
+	return sums
 }
 
 // Conv computes the quantized convolution q over a channel-major c×h×w map
 // of scalar ciphertexts, bias[o] added to every position of output channel o,
 // and returns the OutC×oh×ow map in the same order.
-func Conv(eval *he.Evaluator, enc *encoding.ScalarEncoder, q *nn.QuantizedConv, bias []*he.Plaintext,
+func Conv(eval *he.Evaluator, q *nn.QuantizedConv, bias []*he.Plaintext,
 	in []*he.Ciphertext, c, h, w, workers int) (out []*he.Ciphertext, oh, ow int, err error) {
 	if c != q.InC || len(in) != c*h*w {
 		return nil, 0, 0, fmt.Errorf("conv input %d cts (%dx%dx%d), want inC=%d", len(in), c, h, w, q.InC)
 	}
 	oh, ow = q.OutSize(h), q.OutSize(w)
 	out = make([]*he.Ciphertext, q.OutC*oh*ow)
+	sums := newSums(len(out), workers, q.InC*q.K*q.K)
 	err = ParallelFor(len(out), workers, func(idx int) error {
 		o, oy, ox := idx/(oh*ow), idx%(oh*ow)/ow, idx%ow
-		sum := weightedSum{eval: eval, enc: enc}
+		sum := <-sums
+		defer func() { sums <- sum }()
 		for i := 0; i < q.InC; i++ {
 			for ky := 0; ky < q.K; ky++ {
 				row := (i*h+oy*q.Stride+ky)*w + ox*q.Stride
 				for kx := 0; kx < q.K; kx++ {
-					if err := sum.add(in[row+kx], q.WAt(o, i, ky, kx)); err != nil {
-						return err
-					}
+					sum.add(in[row+kx], q.WAt(o, i, ky, kx))
 				}
 			}
 		}
 		var err error
-		out[idx], err = sum.finish(in[0], bias[o])
+		out[idx], err = sum.finish(eval, in[0], bias[o])
 		return err
 	})
 	if err != nil {
@@ -163,21 +175,21 @@ func Conv(eval *he.Evaluator, enc *encoding.ScalarEncoder, q *nn.QuantizedConv, 
 
 // FC computes the quantized fully connected layer q over q.In scalar
 // ciphertexts, one output ciphertext per row.
-func FC(eval *he.Evaluator, enc *encoding.ScalarEncoder, q *nn.QuantizedFC, bias []*he.Plaintext,
+func FC(eval *he.Evaluator, q *nn.QuantizedFC, bias []*he.Plaintext,
 	in []*he.Ciphertext, workers int) ([]*he.Ciphertext, error) {
 	if len(in) != q.In {
 		return nil, fmt.Errorf("fc input %d cts, want %d", len(in), q.In)
 	}
 	out := make([]*he.Ciphertext, q.Out)
+	sums := newSums(q.Out, workers, q.In)
 	err := ParallelFor(q.Out, workers, func(o int) error {
-		sum := weightedSum{eval: eval, enc: enc}
+		sum := <-sums
+		defer func() { sums <- sum }()
 		for i, ct := range in {
-			if err := sum.add(ct, q.W[o*q.In+i]); err != nil {
-				return err
-			}
+			sum.add(ct, q.W[o*q.In+i])
 		}
 		var err error
-		out[o], err = sum.finish(in[0], bias[o])
+		out[o], err = sum.finish(eval, in[0], bias[o])
 		return err
 	})
 	if err != nil {

@@ -105,11 +105,11 @@ func TestKernels(t *testing.T) {
 				want []int64
 			}{
 				{"conv", func(workers int) ([]*he.Ciphertext, error) {
-					out, _, _, err := Conv(eval, enc, conv, EncodeBias(enc, conv.B), in, c, h, w, workers)
+					out, _, _, err := Conv(eval, conv, EncodeBias(enc, conv.B), in, c, h, w, workers)
 					return out, err
 				}, convWant},
 				{"fc", func(workers int) ([]*he.Ciphertext, error) {
-					return FC(eval, enc, fc, EncodeBias(enc, fc.B), in[:fc.In], workers)
+					return FC(eval, fc, EncodeBias(enc, fc.B), in[:fc.In], workers)
 				}, fcWant},
 				{"window-sum", func(workers int) ([]*he.Ciphertext, error) {
 					out, _, _, err := WindowSum(eval, in, c, h, w, 2, workers)

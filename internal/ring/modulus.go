@@ -200,6 +200,27 @@ func (m Modulus) MulAdd2(a, b, c, d uint64) uint64 {
 	return m.reduce128(hi, lo)
 }
 
+// lazyMass returns the largest weight mass Σ|wᵢ| a lazily accumulated
+// weighted sum of residues may carry on top of one carried-in residue:
+// (mass+1)·q ≤ 2⁶⁴ keeps the sum within one word. It is ⌊(2⁶⁴−1)/q⌋ − 1 —
+// 255 for a 56-bit q, 63 at MaxModulusBits — and brHi is ⌊2⁶⁴/q⌋, which
+// equals ⌊(2⁶⁴−1)/q⌋ for odd q.
+func (m Modulus) lazyMass() uint64 {
+	return m.brHi - 1
+}
+
+// reduceWord maps any uint64 into [0, q) with one 64-bit Barrett step: the
+// quotient estimate ⌊x·⌊2⁶⁴/q⌋/2⁶⁴⌋ undershoots by at most one, so one
+// conditional subtraction finishes.
+func (m Modulus) reduceWord(x uint64) uint64 {
+	qhat, _ := bits.Mul64(x, m.brHi)
+	r := x - qhat*m.Q
+	if r >= m.Q {
+		r -= m.Q
+	}
+	return r
+}
+
 // Centered maps a residue in [0, q) to its centered representative in
 // (-q/2, q/2].
 func (m Modulus) Centered(a uint64) int64 {

@@ -209,6 +209,79 @@ func (r *Ring) MulScalarAdd(a Poly, c uint64, out Poly) {
 	}
 }
 
+// WeightedSumInto sets out += Σ ws[i]·as[i] mod q, the weighted sum of every
+// plaintext-weight linear layer. Weights are signed (the evaluator passes
+// them centred mod t); out must be fully reduced on entry and is on return.
+//
+// Terms accumulate unreduced in 64 bits, split into runs whose weight mass
+// Σ|w| stays within lazyMass. A run starts each coefficient at its carried-in
+// residue plus (Σ_{w<0}|w|)·q: that offset cancels the two's-complement wrap
+// of the negative products exactly, so the run's true value lies in
+// [0, (mass+1)·q) ⊂ [0, 2⁶⁴) and one Barrett step per coefficient at the end
+// of the run yields the same residue a per-term MulScalarAdd chain does. The
+// inner loop consumes four terms per pass, so one accumulator load and store
+// serves four products. A weight with |w| > lazyMass alone is reduced mod q
+// and Shoup-multiplied into the reduced accumulator.
+func (r *Ring) WeightedSumInto(out Poly, as []Poly, ws []int64) {
+	mod := r.Mod
+	limit := mod.lazyMass()
+	acc := out.Coeffs
+	for s := 0; s < len(ws); {
+		if m := absInt64(ws[s]); m > limit {
+			c := m % mod.Q
+			if ws[s] < 0 {
+				c = mod.Neg(c)
+			}
+			r.MulScalarAdd(as[s], c, out)
+			s++
+			continue
+		}
+		e, mass, neg := s, uint64(0), uint64(0)
+		for ; e < len(ws); e++ {
+			m := absInt64(ws[e])
+			if mass+m > limit {
+				break
+			}
+			mass += m
+			if ws[e] < 0 {
+				neg += m
+			}
+		}
+		off := neg * mod.Q
+		i := s
+		for ; i+4 <= e; i += 4 {
+			w0, w1, w2, w3 := uint64(ws[i]), uint64(ws[i+1]), uint64(ws[i+2]), uint64(ws[i+3])
+			a0 := as[i].Coeffs[:len(acc)]
+			a1 := as[i+1].Coeffs[:len(acc)]
+			a2 := as[i+2].Coeffs[:len(acc)]
+			a3 := as[i+3].Coeffs[:len(acc)]
+			for j := range acc {
+				acc[j] += off + w0*a0[j] + w1*a1[j] + w2*a2[j] + w3*a3[j]
+			}
+			off = 0
+		}
+		for ; i < e; i++ {
+			w0, a0 := uint64(ws[i]), as[i].Coeffs[:len(acc)]
+			for j := range acc {
+				acc[j] += off + w0*a0[j]
+			}
+			off = 0
+		}
+		for j, x := range acc {
+			acc[j] = mod.reduceWord(x)
+		}
+		s = e
+	}
+}
+
+// absInt64 returns |w| as a uint64, exact for math.MinInt64 too.
+func absInt64(w int64) uint64 {
+	if w < 0 {
+		return -uint64(w)
+	}
+	return uint64(w)
+}
+
 // MulMonomialAdd sets out += X^k·a for 0 ≤ k < n in coefficient form: a
 // negacyclic shift, so coefficient j of a lands on j+k, and wraps past n with
 // its sign flipped (X^n = −1). No multiplication and no transform.
