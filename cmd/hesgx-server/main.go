@@ -38,10 +38,10 @@
 //
 // The server always runs the black-box diagnostics loop: a 1-second metric
 // flight recorder ring, an anomaly monitor (shed-rate spikes, per-ECALL
-// transition/paging excursions), and an event bus that SLO pages, noise-
-// budget alerts and wire faults publish into. With -diag-dir set, warning-
-// or-worse events additionally trigger debounced, rate-limited postmortem
-// bundles — self-contained tar.gz archives with the trigger, recent
+// transition/paging excursions), and an event bus that SLO pages, the
+// monitor's anomalies and wire faults publish into. With -diag-dir set,
+// warning-or-worse events additionally trigger debounced, rate-limited
+// postmortem bundles — self-contained tar.gz archives with the trigger, recent
 // events, the metric window, flight reports, traces, profiles and build
 // info — rendered offline by hesgx-diag. An on-demand bundle is always
 // available at the admin endpoint's /debug/bundle.
@@ -100,7 +100,6 @@ func run() int {
 	reportRing := flag.Int("report-ring", report.DefaultCapacity, "report-ring capacity: per-request flight reports retained for /inference/last")
 	flag.IntVar(reportRing, "report-buffer", report.DefaultCapacity, "deprecated alias of -report-ring")
 	sloSpec := flag.String("slo", "", "per-stage latency objectives as name:metric:threshold:target,... (empty: defaults; \"off\": disabled)")
-	noiseWarnBits := flag.Float64("noise-warn-bits", core.DefaultNoiseWarnBudgetBits, "warn + count when measured noise budget entering a refresh drops below this many bits (0: off)")
 	diagDir := flag.String("diag-dir", "", "directory receiving anomaly-triggered postmortem bundles (empty: triggered captures off; /debug/bundle still serves on-demand)")
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -132,14 +131,12 @@ func run() int {
 		return 1
 	}
 	// One registry and one event bus thread through every stage: the
-	// enclave service, the serving pipeline, the wire server, the SLO
-	// tracker and the diagnostics loop all publish into the same pair.
+	// serving pipeline (and through it the enclave service's ECALL
+	// counters), the wire server, the SLO tracker and the diagnostics loop
+	// all publish into the same pair.
 	reg := stats.NewRegistry()
 	bus := diag.NewBus(diag.DefaultBusCapacity, reg)
-	svc, err := core.NewEnclaveService(platform, params,
-		core.WithServiceLogger(logger),
-		core.WithNoiseWarnThreshold(*noiseWarnBits),
-		core.WithEventBus(bus))
+	svc, err := core.NewEnclaveService(platform, params)
 	if err != nil {
 		logger.Error("launching enclave", "err", err)
 		return 1

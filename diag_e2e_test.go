@@ -1,6 +1,6 @@
 // End-to-end exercise of the black-box diagnostics loop: a serving stack
-// whose noise budget is configured to alert, a live flight recorder, and a
-// Capturer writing a postmortem bundle that the hesgx-diag renderer can
+// held to latency objectives no request can meet, a live flight recorder,
+// and a Capturer writing a postmortem bundle that the hesgx-diag renderer can
 // turn into an incident report. This is the full-stack counterpart of the
 // unit tests under internal/diag.
 package hesgx_test
@@ -25,6 +25,7 @@ import (
 	"hesgx/internal/ring"
 	"hesgx/internal/serve"
 	"hesgx/internal/sgx"
+	"hesgx/internal/slo"
 	"hesgx/internal/stats"
 	"hesgx/internal/trace"
 )
@@ -59,12 +60,12 @@ func waitUntil(d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// TestDiagnosticsBundleEndToEnd runs an inference whose noise-budget floor
-// is set impossibly high, so the enclave's measured-budget alert publishes
-// a noise.low_budget event into the bus; the Capturer must write exactly
-// one debounced bundle containing the trigger event, a >= 60-sample metric
-// window, a flight report carrying the alerting request's trace ID, and
-// both runtime profiles — and the bundle must render.
+// TestDiagnosticsBundleEndToEnd serves inferences against latency
+// objectives no request can meet, so the SLO tracker pages into the bus
+// with the slow request's trace ID as exemplar; the Capturer must write
+// exactly one debounced bundle containing the trigger event, a >= 60-sample
+// metric window, a flight report carrying the paging request's trace ID,
+// and both runtime profiles — and the bundle must render.
 func TestDiagnosticsBundleEndToEnd(t *testing.T) {
 	q, err := ring.GenerateNTTPrime(46, 1024)
 	if err != nil {
@@ -80,13 +81,8 @@ func TestDiagnosticsBundleEndToEnd(t *testing.T) {
 	}
 	reg := stats.NewRegistry()
 	bus := diag.NewBus(diag.DefaultBusCapacity, reg)
-	// A 1000-bit floor no parameter set can satisfy: every measured refresh
-	// inside the enclave raises the low-budget alarm, the deliberate fault
-	// this postmortem exercise captures.
 	svc, err := core.NewEnclaveService(platform, params,
-		core.WithKeySource(ring.NewSeededSource(61)),
-		core.WithEventBus(bus),
-		core.WithNoiseWarnThreshold(1000))
+		core.WithKeySource(ring.NewSeededSource(61)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +132,28 @@ func TestDiagnosticsBundleEndToEnd(t *testing.T) {
 		rec.Tick()
 	}
 
+	// Objectives under a nanosecond, the deliberate fault this postmortem
+	// exercise captures: every served request burns budget in both, so the
+	// first tracker tick after one pages twice with its trace ID.
+	sloClock := &e2eClock{t: time.Unix(1_750_000_000, 0)}
+	tracker, err := slo.New(slo.Config{
+		Registry: reg,
+		Objectives: []slo.Objective{
+			{Name: "request", Metric: "serve.request.total_ms", Threshold: time.Nanosecond, Target: 0.99},
+			{Name: "queue", Metric: "serve.job.queue_wait_ms", Threshold: time.Nanosecond, Target: 0.99},
+		},
+		Windows: []slo.BurnWindow{{Short: 10 * time.Second, Long: 20 * time.Second, Factor: 14.4, Severity: "page"}},
+		Now:     sloClock.now,
+		Events:  bus,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	dir := t.TempDir()
 	capturer := diag.NewCapturer(bus, rec, diag.CaptureConfig{
 		Dir:      dir,
-		Debounce: time.Hour, // the run alerts repeatedly; exactly one bundle may land
+		Debounce: time.Hour, // the run pages repeatedly; exactly one bundle may land
 		Settle:   200 * time.Millisecond,
 	})
 	capturer.AddSource(diag.ReportsSource(reports, 0))
@@ -164,13 +178,15 @@ func TestDiagnosticsBundleEndToEnd(t *testing.T) {
 		if _, err := service.Infer(context.Background(), serve.Request{Image: ci}); err != nil {
 			t.Fatal(err)
 		}
+		sloClock.advance(tracker.Interval())
+		tracker.Tick()
 		captured = waitUntil(time.Second, func() bool { return capturer.Captures() >= 1 })
 	}
 	if !captured {
 		t.Fatalf("no bundle captured; bus log: %+v", bus.Recent(0))
 	}
-	// Every nonlinear stage of the run alerted, but the debounce window
-	// admits only the first event.
+	// Both objectives paged, but the debounce window admits only the first
+	// event.
 	time.Sleep(100 * time.Millisecond)
 	if got := capturer.Captures(); got != 1 {
 		t.Fatalf("captured %d bundles, want exactly 1 (debounced)", got)
@@ -186,20 +202,20 @@ func TestDiagnosticsBundleEndToEnd(t *testing.T) {
 	}
 
 	trig := b.Trigger()
-	if trig == nil || trig.Type != diag.TypeNoiseLowBudget {
-		t.Fatalf("trigger = %+v, want the noise.low_budget fault", trig)
+	if trig == nil || trig.Type != diag.TypeSLOPage {
+		t.Fatalf("trigger = %+v, want the slo.page fault", trig)
 	}
 	if trig.TraceID == 0 {
-		t.Fatal("trigger event carries no trace ID: the alert lost its request context")
+		t.Fatal("trigger event carries no trace ID: the page lost its request context")
 	}
-	if trig.Threshold != 1000 || trig.Value >= trig.Threshold {
-		t.Errorf("trigger budget %g / threshold %g, want measured budget under the floor", trig.Value, trig.Threshold)
+	if trig.Threshold != 14.4 || trig.Value < trig.Threshold {
+		t.Errorf("trigger burn %g / factor %g, want a burn at or over the factor", trig.Value, trig.Threshold)
 	}
 	if samples := b.Metrics(); len(samples) < 60 {
 		t.Errorf("bundle holds %d metric samples, want the >= 60-sample trailing window", len(samples))
 	}
 
-	// The alerting request's flight report must be in the bundle, matched
+	// The paging request's flight report must be in the bundle, matched
 	// by trace ID — the black box ties the page to the exact request.
 	var reps []struct {
 		TraceID uint64 `json:"trace_id"`
@@ -214,7 +230,7 @@ func TestDiagnosticsBundleEndToEnd(t *testing.T) {
 		}
 	}
 	if !foundReport {
-		t.Errorf("no flight report with the alerting trace %#x among %d reports", trig.TraceID, len(reps))
+		t.Errorf("no flight report with the paging trace %#x among %d reports", trig.TraceID, len(reps))
 	}
 
 	if !bytes.Contains(b.Files["goroutines.txt"], []byte("goroutine ")) {
@@ -233,7 +249,7 @@ func TestDiagnosticsBundleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	rendered := out.String()
-	for _, want := range []string{"incident report", "noise.low_budget", "goroutines:"} {
+	for _, want := range []string{"incident report", string(diag.TypeSLOPage), "the trigger's own trace", "goroutines:"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("incident report missing %q:\n%s", want, rendered)
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"math"
 	mrand "math/rand/v2"
 	"net"
 	"os"
@@ -63,7 +64,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Flight recorder: every finished request trace folds into a per-layer
-	// report with wall time, ECALL costs, and noise-budget attribution.
+	// report with wall time, ECALL costs, and the predicted noise budget.
 	reg := stats.NewRegistry()
 	engine.SetMetrics(reg)
 	svc.SetMetrics(reg)
@@ -130,14 +131,11 @@ func main() {
 	if last := reports.Last(1); len(last) > 0 {
 		fr := last[0]
 		fmt.Printf("\nflight report, last query (trace %d, %.1f ms server-side):\n", fr.TraceID, fr.WallMS)
-		fmt.Printf("  %-10s %10s %8s %12s %12s\n", "layer", "wall ms", "ecalls", "pred bits", "meas bits")
+		fmt.Printf("  %-10s %10s %8s %12s\n", "layer", "wall ms", "ecalls", "pred bits")
 		for _, l := range fr.Layers {
-			pred, meas := "-", "-"
+			pred := "-"
 			if l.PredictedBudgetBits != nil {
 				pred = fmt.Sprintf(">= %.1f", *l.PredictedBudgetBits)
-			}
-			if l.MeasuredBudgetMinBits != nil {
-				meas = fmt.Sprintf("%.1f", *l.MeasuredBudgetMinBits)
 			}
 			note := ""
 			if l.Fused {
@@ -146,12 +144,42 @@ func main() {
 			if l.CoeffIn > 1 {
 				note += fmt.Sprintf("  (%d values per ciphertext across it)", l.CoeffIn)
 			}
-			fmt.Printf("  %-10s %10.2f %8d %12s %12s%s\n", l.Label, l.WallMS, l.Transitions, pred, meas, note)
-		}
-		if fr.MinMeasuredBudgetBits != nil {
-			fmt.Printf("  tightest measured budget anywhere in the pipeline: %.1f bits\n", *fr.MinMeasuredBudgetBits)
+			fmt.Printf("  %-10s %10.2f %8d %12s%s\n", l.Label, l.WallMS, l.Transitions, pred, note)
 		}
 	}
+
+	// Only the key holder can measure a noise budget; the edge server sees
+	// ciphertexts and the accountant's predictions alone. Play the device
+	// once more in-process — the same attested key delivery, one query
+	// straight into the engine — and measure the logits it decrypts.
+	device, err := core.NewClient()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := device.RunKeyExchange(svc, verifier); err != nil {
+		log.Fatal(err)
+	}
+	seeded, err := device.EncryptImageSeeded(test.Images[0], 255)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ci, err := seeded.Expand()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := engine.Infer(ci)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lowest := math.Inf(1)
+	for _, ct := range res.Logits {
+		bits, err := device.NoiseBudget(ct)
+		if err != nil {
+			log.Fatal(err)
+		}
+		lowest = min(lowest, bits)
+	}
+	fmt.Printf("logit noise budget measured by the key holder: %.1f bits\n", lowest)
 
 	cancel()
 	<-serveDone

@@ -206,8 +206,8 @@ func TestServerStartServeShutdown(t *testing.T) {
 // Prometheus text-format linter.
 func TestMetricsExpositionLints(t *testing.T) {
 	cfg, reg, _ := testConfig()
-	reg.Observe("noise.budget_remaining_bits", 15.5)
-	reg.Observe("layer.03_act.budget_min_bits", 14.25)
+	reg.Observe("layer.04_fc.pred_budget_bits", 5.75)
+	reg.Observe("layer.03_act.pred_budget_bits", 14.25)
 	reg.ObserveHistogram("layer.00_conv.wall_ms", 9.5)
 	_, body := get(t, Handler(cfg), "/metrics")
 	if err := stats.LintPrometheusText(strings.NewReader(body)); err != nil {
@@ -218,8 +218,8 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"process_heap_bytes ",
 		"process_uptime_seconds ",
 		"hesgx_build_info{go_version=",
-		"noise_budget_remaining_bits_count 1",
-		"layer_03_act_budget_min_bits_count 1",
+		"layer_04_fc_pred_budget_bits_count 1",
+		"layer_03_act_pred_budget_bits_count 1",
 		"layer_00_conv_wall_ms_count 1",
 	} {
 		if !strings.Contains(body, want) {

@@ -57,6 +57,19 @@ func (s *fusedStack) inferExact(t testing.TB, engine *HybridEngine, ci *CipherIm
 	return got, fr, ecalls
 }
 
+// inferConservative is inferExact with the key holder between the engine and
+// the enclave: it also checks every crossing's prediction against the budget
+// measured on what crossed.
+func (s *fusedStack) inferConservative(t testing.TB, engine *HybridEngine, ci *CipherImage, img *nn.Tensor) ([]int64, *report.FlightReport, uint64) {
+	t.Helper()
+	probe := &opRecorder{next: engine.caller, client: s.client}
+	engine.SetNonlinearCaller(probe)
+	defer engine.SetNonlinearCaller(probe.next)
+	got, fr, ecalls := s.inferExact(t, engine, ci, img)
+	assertConservative(t, fr, probe.budgets)
+	return got, fr, ecalls
+}
+
 // TestCoeffCrossingRandomNetworks is the equivalence contract of the
 // coefficient-packed pool crossing: over randomized networks covering every
 // activation and both pool kinds — with the window, the side of the fusion
@@ -64,8 +77,8 @@ func (s *fusedStack) inferExact(t testing.TB, engine *HybridEngine, ci *CipherIm
 // map as one ciphertext, or another conv, which needs it scalar) rotating so
 // all eight combinations run — the default plan's logits equal the plaintext
 // oracle's and the same network's under explicit PoolSGXPool, which crosses
-// per value. The ciphertexts the ECALL decrypted are counted from the flight
-// report, so a silent fall back to one value per ciphertext fails.
+// per value. The ciphertexts that crossed are counted from the flight report,
+// so a silent fall back to one value per ciphertext fails.
 func TestCoeffCrossingRandomNetworks(t *testing.T) {
 	s := newFusedStack(t, 2048)
 	r := mrand.New(mrand.NewPCG(19, 83))
@@ -112,7 +125,7 @@ func TestCoeffCrossingRandomNetworks(t *testing.T) {
 				if plan.CoeffIn < 2 || plan.CoeffTail != fcTail || (plan.CoeffTailReason == "") != fcTail {
 					t.Fatalf("pool plan %+v: want a packed crossing, the tail taken only in front of the FC, a reason otherwise", plan)
 				}
-				got, fr, ecalls := s.inferExact(t, engine, ci, img)
+				got, fr, ecalls := s.inferConservative(t, engine, ci, img)
 				// One crossing for the pair above the floor, two under it, one
 				// more for the activation behind the second conv.
 				wantECalls := uint64(2)
@@ -131,14 +144,13 @@ func TestCoeffCrossingRandomNetworks(t *testing.T) {
 					wantOut = 1
 				}
 				pl := firstPool(t, fr)
-				if pl.CtsIn != values || pl.CoeffIn != plan.CoeffIn || pl.MeasuredCts != (values+plan.CoeffIn-1)/plan.CoeffIn ||
+				if pl.CtsIn != values || pl.CoeffIn != plan.CoeffIn || pl.CtsCrossed != (values+plan.CoeffIn-1)/plan.CoeffIn ||
 					pl.CtsOut != wantOut || pl.CoeffTail != fcTail || pl.Fused != above {
 					t.Errorf("pool layer %+v: want %d values crossing %d to a ciphertext, %d ciphertexts out", pl, values, plan.CoeffIn, wantOut)
 				}
 				if fc := layerOfKind(t, fr, "fc"); fc.CoeffTail != fcTail {
 					t.Errorf("fc layer coeff_tail %v, want %v", fc.CoeffTail, fcTail)
 				}
-				assertConservative(t, fr)
 
 				cfg.Pool = PoolSGXPool
 				explicit, err := newHybridEngine(s.svc, model, cfg)
@@ -152,7 +164,7 @@ func TestCoeffCrossingRandomNetworks(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Errorf("packed crossing %v != per-value crossing %v", got, want)
 				}
-				if pl := firstPool(t, efr); pl.MeasuredCts != values || pl.CoeffIn != 0 || pl.CtsOut != channels*pooled*pooled {
+				if pl := firstPool(t, efr); pl.CtsCrossed != values || pl.CoeffIn != 0 || pl.CtsOut != channels*pooled*pooled {
 					t.Errorf("explicit pool layer %+v: want %d ciphertexts in, one per pooled value out", pl, values)
 				}
 			})
@@ -192,7 +204,7 @@ func TestCoeffCrossingBudgetStarved(t *testing.T) {
 	}
 	_, fr, ecalls := s.inferExact(t, engine, ci, img)
 	pool := layerOfKind(t, fr, "pool")
-	if ecalls != 1 || pool.CoeffIn != 1 || pool.MeasuredCts != 288 || pool.CtsOut != 72 || pool.CoeffTail {
+	if ecalls != 1 || pool.CoeffIn != 1 || pool.CtsCrossed != 288 || pool.CtsOut != 72 || pool.CoeffTail {
 		t.Errorf("%d ECALLs, pool layer %+v: want one crossing, 288 ciphertexts in and 72 out", ecalls, pool)
 	}
 }
@@ -222,12 +234,11 @@ func TestCoeffCrossingKeepsScalarOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fr, ecalls := s.inferExact(t, engine, ci, img)
+		_, fr, ecalls := s.inferConservative(t, engine, ci, img)
 		pool := layerOfKind(t, fr, "pool")
-		if ecalls != 1 || pool.MeasuredCts != (2160+plan.CoeffIn-1)/plan.CoeffIn || pool.CtsOut != 2160 || pool.CoeffTail {
+		if ecalls != 1 || pool.CtsCrossed != (2160+plan.CoeffIn-1)/plan.CoeffIn || pool.CtsOut != 2160 || pool.CoeffTail {
 			t.Errorf("%d ECALLs, pool layer %+v: want ⌈2160/%d⌉ ciphertexts in, 2160 out", ecalls, pool, plan.CoeffIn)
 		}
-		assertConservative(t, fr)
 	})
 
 	t.Run("fc feeds a packed crossing", func(t *testing.T) {
@@ -253,11 +264,10 @@ func TestCoeffCrossingKeepsScalarOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fr, _ := s.inferExact(t, engine, ci, img)
-		if second := layerOfKind(t, fr, "pool"); !second.Fused || second.MeasuredCts != 1 || second.CtsOut != 1 {
+		_, fr, _ := s.inferConservative(t, engine, ci, img)
+		if second := layerOfKind(t, fr, "pool"); !second.Fused || second.CtsCrossed != 1 || second.CtsOut != 1 {
 			t.Errorf("second pool layer %+v: want 256 FC outputs folded into one ciphertext, one returned", second)
 		}
-		assertConservative(t, fr)
 	})
 }
 

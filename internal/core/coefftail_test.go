@@ -43,21 +43,38 @@ func layerOfKind(t testing.TB, fr *report.FlightReport, kind string) report.Laye
 	return report.Layer{}
 }
 
-// assertConservative checks the accountant's contract on every layer whose
-// ECALL measured a budget — the plan's prediction is a lower bound — and
-// returns how many layers measured one.
-func assertConservative(t testing.TB, fr *report.FlightReport) (measured int) {
+// inferMeasured is inferReported with the key holder between the engine and
+// the enclave: it also returns, per layer label, the smallest noise budget
+// client measured on the ciphertexts that layer's ECALLs carried.
+func inferMeasured(t testing.TB, engine *HybridEngine, ci *CipherImage, client *Client) (*InferenceResult, *report.FlightReport, map[string]float64) {
+	t.Helper()
+	probe := &opRecorder{next: engine.caller, client: client}
+	engine.SetNonlinearCaller(probe)
+	defer engine.SetNonlinearCaller(probe.next)
+	res, fr := inferReported(t, engine, ci)
+	return res, fr, probe.budgets
+}
+
+// assertConservative checks the accountant's contract on every layer that
+// crossed into the enclave — the plan's prediction is a lower bound on the
+// budget the key holder measured on what crossed — and returns how many
+// layers crossed.
+func assertConservative(t testing.TB, fr *report.FlightReport, measured map[string]float64) (crossed int) {
 	t.Helper()
 	for _, l := range fr.Layers {
-		if l.MeasuredBudgetMinBits == nil {
+		bits, ok := measured[l.Label]
+		if ok != (l.CtsCrossed > 0) {
+			t.Errorf("layer %s: %d ciphertexts crossed, but measured = %v", l.Label, l.CtsCrossed, ok)
+		}
+		if !ok {
 			continue
 		}
-		measured++
-		if *l.PredictedBudgetBits > *l.MeasuredBudgetMinBits {
-			t.Errorf("layer %s: predicted %.2f bits exceeds measured %.2f", l.Label, *l.PredictedBudgetBits, *l.MeasuredBudgetMinBits)
+		crossed++
+		if *l.PredictedBudgetBits > bits {
+			t.Errorf("layer %s: predicted %.2f bits exceeds measured %.2f", l.Label, *l.PredictedBudgetBits, bits)
 		}
 	}
-	return measured
+	return crossed
 }
 
 // assertTail checks which tail a packed request's pool and FC layers ran.
@@ -361,28 +378,29 @@ func TestCoeffTailNoisePredictionConservative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, fr := inferReported(t, engine, ci)
+		res, fr, measured := inferMeasured(t, engine, ci, client)
 		assertTail(t, fr, true, 864)
 		assertLogits(t, client, engine, img, res.Logits)
 		if fc := layerOfKind(t, fr, "fc"); fc.PredictedBudgetBits == nil || *fc.PredictedBudgetBits != info.FCBudgetBits {
 			t.Fatalf("n=%d: fc span predicts %v bits, plan says %.2f", n, fc.PredictedBudgetBits, info.FCBudgetBits)
 		}
-		// The prefix is one crossing: its ECALL measures the conv outputs, so
+		// The prefix is one crossing: its ECALL carries the conv outputs, so
 		// the conv's and the fused pool's prediction are the same bound, and
-		// both must sit under that one measurement.
+		// both must sit under the budget measured on them.
 		conv, pool := layerOfKind(t, fr, "conv"), layerOfKind(t, fr, "pool")
-		if !pool.Fused || pool.MeasuredBudgetMinBits == nil || pool.MeasuredCts != 6 {
-			t.Fatalf("n=%d: pool layer %+v: want the fused ECALL measuring the 6 conv outputs", n, pool)
+		convOut, ok := measured[pool.Label]
+		if !pool.Fused || !ok || pool.CtsCrossed != 6 {
+			t.Fatalf("n=%d: pool layer %+v: want the fused ECALL carrying the 6 conv outputs", n, pool)
 		}
 		if *conv.PredictedBudgetBits != info.ConvBudgetBits || *pool.PredictedBudgetBits != info.PoolBudgetBits || info.PoolBudgetBits != info.ConvBudgetBits {
 			t.Errorf("n=%d: spans predict conv %.2f / pool %.2f bits, plan says %.2f / %.2f — one bound for both",
 				n, *conv.PredictedBudgetBits, *pool.PredictedBudgetBits, info.ConvBudgetBits, info.PoolBudgetBits)
 		}
-		if *conv.PredictedBudgetBits > *pool.MeasuredBudgetMinBits {
-			t.Errorf("n=%d conv: predicted %.2f bits exceeds the %.2f measured on its outputs", n, *conv.PredictedBudgetBits, *pool.MeasuredBudgetMinBits)
+		if *conv.PredictedBudgetBits > convOut {
+			t.Errorf("n=%d conv: predicted %.2f bits exceeds the %.2f measured on its outputs", n, *conv.PredictedBudgetBits, convOut)
 		}
-		if got := assertConservative(t, fr); got != 1 {
-			t.Errorf("n=%d: %d layers measured a budget, want the one fused ECALL", n, got)
+		if got := assertConservative(t, fr, measured); got != 1 {
+			t.Errorf("n=%d: %d layers crossed, want the one fused ECALL", n, got)
 		}
 		for o, ct := range res.Logits {
 			measured, err := client.NoiseBudget(ct)

@@ -10,12 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
 
-	"hesgx/internal/diag"
 	"hesgx/internal/encoding"
 	"hesgx/internal/he"
 	"hesgx/internal/nn"
@@ -56,7 +54,7 @@ const (
 const EnclaveName = "hesgx-inference-enclave"
 
 // EnclaveVersion feeds the measurement; bump on trusted-code changes.
-const EnclaveVersion = "1.8.0"
+const EnclaveVersion = "1.9.0"
 
 // EnclaveService hosts the trusted half of the framework on an SGX
 // platform: FV key generation and custody, key provisioning via ECDH for
@@ -72,13 +70,6 @@ type EnclaveService struct {
 	// metrics, when set, receives per-ECALL latency histograms and
 	// transition/paging counters (untrusted-side observability only).
 	metrics *stats.Registry
-	// logger, when set, receives low-budget warnings (nil: silent).
-	logger *slog.Logger
-	// noiseWarnBits is the measured-budget floor below which Nonlinear
-	// raises the low-budget alert (<= 0: alerting disabled).
-	noiseWarnBits float64
-	// events, when set, receives a diag event for every low-budget alert.
-	events *diag.Bus
 
 	// trusted state (conceptually inside the enclave)
 	state *enclaveState
@@ -175,22 +166,11 @@ func (st *enclaveState) loadKeys(ctx *sgx.Context) (*loadedKeys, error) {
 	return &loadedKeys{dec: dec, enc: enc, pk: pk}, nil
 }
 
-// DefaultNoiseWarnBudgetBits is the default measured-budget floor: when the
-// worst ciphertext entering an SGX refresh has fewer remaining bits than
-// this, the service logs a warning and increments the
-// "noise.low_budget_alerts" counter. A handful of bits of headroom is the
-// difference between a refresh that saves the ciphertext and one that
-// re-encrypts garbage, so the alert fires while decryption is still exact.
-const DefaultNoiseWarnBudgetBits = 8
-
 // ServiceOption customizes enclave service construction.
 type ServiceOption func(*serviceConfig)
 
 type serviceConfig struct {
-	keySource     ring.Source
-	logger        *slog.Logger
-	noiseWarnBits float64
-	events        *diag.Bus
+	keySource ring.Source
 }
 
 // WithKeySource overrides the randomness used for FV key generation and
@@ -199,32 +179,13 @@ func WithKeySource(src ring.Source) ServiceOption {
 	return func(c *serviceConfig) { c.keySource = src }
 }
 
-// WithServiceLogger attaches a structured logger for low-budget warnings
-// and other service-level events.
-func WithServiceLogger(l *slog.Logger) ServiceOption {
-	return func(c *serviceConfig) { c.logger = l }
-}
-
-// WithNoiseWarnThreshold overrides the low-budget alert floor in bits
-// (DefaultNoiseWarnBudgetBits by default; <= 0 disables alerting).
-func WithNoiseWarnThreshold(bits float64) ServiceOption {
-	return func(c *serviceConfig) { c.noiseWarnBits = bits }
-}
-
-// WithEventBus publishes a typed diag event (with the calling request's
-// trace ID and the threshold context) each time the low-budget alert
-// fires, feeding the postmortem capturer.
-func WithEventBus(b *diag.Bus) ServiceOption {
-	return func(c *serviceConfig) { c.events = b }
-}
-
 // NewEnclaveService launches the inference enclave on platform and
 // generates the FV key material inside it.
 func NewEnclaveService(platform *sgx.Platform, params he.Parameters, opts ...ServiceOption) (*EnclaveService, error) {
 	if !params.Valid() {
 		return nil, fmt.Errorf("core: invalid parameters")
 	}
-	cfg := serviceConfig{keySource: ring.NewCryptoSource(), noiseWarnBits: DefaultNoiseWarnBudgetBits}
+	cfg := serviceConfig{keySource: ring.NewCryptoSource()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -275,14 +236,7 @@ func NewEnclaveService(platform *sgx.Platform, params he.Parameters, opts ...Ser
 	if err != nil {
 		return nil, fmt.Errorf("core: launching enclave: %w", err)
 	}
-	return &EnclaveService{
-		params:        params,
-		enclave:       enclave,
-		logger:        cfg.logger,
-		noiseWarnBits: cfg.noiseWarnBits,
-		events:        cfg.events,
-		state:         state,
-	}, nil
+	return &EnclaveService{params: params, enclave: enclave, state: state}, nil
 }
 
 // Params returns the FV parameter set the enclave generated keys for.
@@ -356,36 +310,6 @@ func (st *enclaveState) provision(ctx *sgx.Context, input []byte) ([]byte, error
 	return out.Bytes(), nil
 }
 
-// budgetMeter accumulates the invariant-noise budgets the enclave measures
-// on the ciphertexts it decrypts — the "flight data" every non-linear ECALL
-// reports back alongside its re-encrypted batch. Measurement is free: the
-// decryption already computed the phase the budget falls out of.
-type budgetMeter struct {
-	min, sum float64
-	n        int
-}
-
-func (m *budgetMeter) observe(bits float64) {
-	if m.n == 0 || bits < m.min {
-		m.min = bits
-	}
-	m.sum += bits
-	m.n++
-}
-
-// wrap envelopes an encoded ciphertext batch with the measured budgets.
-func (m *budgetMeter) wrap(cts []byte) []byte {
-	rep := nonlinearReply{Measured: uint32(m.n), CTs: cts}
-	if m.n > 0 {
-		rep.BudgetMin = m.min
-		rep.BudgetMean = m.sum / float64(m.n)
-	}
-	out := rep.marshal()
-	// marshal copied cts into the reply envelope; recycle the batch buffer.
-	putPayload(cts)
-	return out
-}
-
 // slotDecoder reads the value vector a decrypted plaintext carries: a slot
 // codec (batch or packed), or coeffDecoder for the scalar layout.
 type slotDecoder interface {
@@ -412,20 +336,18 @@ func (d coeffDecoder) Decode(pt *he.Plaintext) ([]int64, error) {
 }
 
 // decryptVectors decrypts a batch into centered value vectors — one per
-// ciphertext, as codec reads it — recording each ciphertext's measured noise
-// budget into meter.
-func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, payload []byte, codec slotDecoder, meter *budgetMeter) ([][]int64, error) {
+// ciphertext, as codec reads it.
+func (st *enclaveState) decryptVectors(ctx *sgx.Context, keys *loadedKeys, payload []byte, codec slotDecoder) ([][]int64, error) {
 	cts, err := decodeCiphertextBatch(payload, st.params)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]int64, len(cts))
 	for i, ct := range cts {
-		pt, bits, err := keys.dec.DecryptWithBudget(ct)
+		pt, err := keys.dec.Decrypt(ct)
 		if err != nil {
 			return nil, fmt.Errorf("decrypting batch element %d: %w", i, err)
 		}
-		meter.observe(bits)
 		if out[i], err = codec.Decode(pt); err != nil {
 			return nil, fmt.Errorf("decoding element %d: %w", i, err)
 		}
@@ -509,9 +431,8 @@ type vectorFunc func(vecs [][]int64) ([][]int64, error)
 
 // vectorOp is the one body of those ECALLs (§IV-D): load the keys, parse the
 // envelope, let plan refuse the request before anything is decoded or
-// decrypted, decrypt the batch while metering its budgets, run the planned
-// stage on the plaintext, and re-encrypt what it returns. How the batch is
-// read is the ECALL's layout.
+// decrypted, decrypt the batch, run the planned stage on the plaintext, and
+// re-encrypt what it returns. How the batch is read is the ECALL's layout.
 func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, layout batchLayout, plan func(req *nonlinearRequest) (vectorFunc, error)) ([]byte, error) {
 	st.touchKeys(ctx)
 	keys, err := st.loadKeys(ctx)
@@ -547,19 +468,14 @@ func (st *enclaveState) vectorOp(ctx *sgx.Context, input []byte, layout batchLay
 	if err != nil {
 		return nil, fmt.Errorf("slot-encoded request: %w", err)
 	}
-	var meter budgetMeter
-	vecs, err := st.decryptVectors(ctx, keys, req.CTs, codec, &meter)
+	vecs, err := st.decryptVectors(ctx, keys, req.CTs, codec)
 	if err != nil {
 		return nil, err
 	}
 	if vecs, err = compute(vecs); err != nil {
 		return nil, err
 	}
-	out, err := st.encryptVectors(ctx, keys, vecs, req.SIMD != 0 && layout != rotationBatch)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(out), nil
+	return st.encryptVectors(ctx, keys, vecs, req.SIMD != 0 && layout != rotationBatch)
 }
 
 // activationStage plans the element-wise activation a request carries:
@@ -775,9 +691,7 @@ func poolVectors(vecs [][]int64, c, h, w, k int, usesMax bool) [][]int64 {
 // refresh decrypts and immediately re-encrypts the full plaintext
 // polynomial, removing accumulated noise without relinearization keys
 // (§IV-E). Size-3 ciphertexts collapse back to size 2, so refresh also
-// substitutes for relinearization. The measured pre-refresh budgets ride
-// back in the reply envelope — the most direct observation of how close a
-// ciphertext came to decryption failure before the refresh saved it.
+// substitutes for relinearization.
 func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) {
 	st.touchKeys(ctx)
 	keys, err := st.loadKeys(ctx)
@@ -788,14 +702,12 @@ func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	var meter budgetMeter
 	out := make([]*he.Ciphertext, len(cts))
 	for i, ct := range cts {
-		pt, bits, err := keys.dec.DecryptWithBudget(ct)
+		pt, err := keys.dec.Decrypt(ct)
 		if err != nil {
 			return nil, fmt.Errorf("refresh decrypt %d: %w", i, err)
 		}
-		meter.observe(bits)
 		fresh, err := keys.enc.Encrypt(pt)
 		if err != nil {
 			return nil, fmt.Errorf("refresh re-encrypt %d: %w", i, err)
@@ -803,11 +715,7 @@ func (st *enclaveState) refresh(ctx *sgx.Context, input []byte) ([]byte, error) 
 		out[i] = fresh
 		ctx.Touch(st.params.N * 8 * 4)
 	}
-	enc, err := encodeCiphertextBatch(out)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+	return encodeCiphertextBatch(out)
 }
 
 // ErrPoolUnpackRequest marks a pool-unpack request the enclave refused

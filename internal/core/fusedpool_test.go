@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand/v2"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"testing"
@@ -146,14 +147,35 @@ func TestFusedPoolMatchesTwoCallStrategies(t *testing.T) {
 	}
 }
 
-// opRecorder notes the op kinds an engine sends to the enclave.
+// opRecorder notes the op kinds an engine sends to the enclave. With a
+// client set it also plays the key holder: before forwarding an ECALL it
+// measures the noise budget of every ciphertext in the batch, keeping the
+// smallest per layer label (the pprof label the engine puts on each step's
+// context).
 type opRecorder struct {
-	next  NonlinearCaller
-	kinds []OpKind
+	next    NonlinearCaller
+	kinds   []OpKind
+	client  *Client
+	budgets map[string]float64
 }
 
 func (o *opRecorder) Nonlinear(ctx context.Context, op NonlinearOp, cts []*he.Ciphertext) ([]*he.Ciphertext, error) {
 	o.kinds = append(o.kinds, op.Kind)
+	if o.client != nil {
+		if o.budgets == nil {
+			o.budgets = make(map[string]float64)
+		}
+		label, _ := pprof.Label(ctx, "hesgx_layer")
+		for _, ct := range cts {
+			bits, err := o.client.NoiseBudget(ct)
+			if err != nil {
+				return nil, err
+			}
+			if low, ok := o.budgets[label]; !ok || bits < low {
+				o.budgets[label] = bits
+			}
+		}
+	}
 	return o.next.Nonlinear(ctx, op, cts)
 }
 
@@ -287,12 +309,12 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 			return len(rec.kinds) == 2 && rec.kinds[0] == OpSigmoid && rec.kinds[1] == OpPoolUnpack
 		}
 		// conservative: on whichever ciphertexts each of the two ECALLs
-		// measured, the plan's packed prediction is a lower bound.
+		// carried, the plan's packed prediction is a lower bound.
 		conservative := func(engine *HybridEngine, pci *CipherImage) {
 			t.Helper()
-			_, fr := inferReported(t, engine, pci)
-			if n := assertConservative(t, fr); n != 2 {
-				t.Errorf("%d layers measured a budget, want 2", n)
+			_, fr, measured := inferMeasured(t, engine, pci, s.client)
+			if n := assertConservative(t, fr, measured); n != 2 {
+				t.Errorf("%d layers crossed, want 2", n)
 			}
 		}
 
@@ -313,8 +335,8 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 		if conv.KeySwitchOps != 8 || pool.KeySwitchOps != 0 || pool.HoistedRotations != 0 {
 			t.Errorf("key-switches conv %d pool %d (hoisted %d), want 8 and none", conv.KeySwitchOps, pool.KeySwitchOps, pool.HoistedRotations)
 		}
-		if !act.Fused || act.Transitions != 0 || !pool.Fused || pool.Transitions == 0 || pool.MeasuredCts != 2 {
-			t.Errorf("act %+v / pool %+v: want a fused pair whose one ECALL measured the 2 conv outputs", act, pool)
+		if !act.Fused || act.Transitions != 0 || !pool.Fused || pool.Transitions == 0 || pool.CtsCrossed != 2 {
+			t.Errorf("act %+v / pool %+v: want a fused pair whose one ECALL carried the 2 conv outputs", act, pool)
 		}
 		// The same engine fuses the pair for a scalar-layout image.
 		check(t, engine, ci, img, 2, 1)
@@ -344,12 +366,12 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 }
 
 // TestFusedLayerPredictionIsConservative is the accountant's property on the
-// fused stage: the pool layer carries the stage's one ECALL with the budget
-// the enclave measured on what entered it — the conv outputs folded g to a
-// ciphertext in the scalar layout, the conv outputs themselves in the SIMD/lane
-// layout, whose slots are taken — the plan's prediction for it is the budget
-// entering that ECALL, and prediction ≤ measurement holds in both layouts at
-// both parameter tiers.
+// fused stage: the pool layer carries the stage's one ECALL — the conv
+// outputs folded g to a ciphertext in the scalar layout, the conv outputs
+// themselves in the SIMD/lane layout, whose slots are taken — the plan's
+// prediction for it is the budget entering that ECALL, and prediction ≤ the
+// key holder's measurement of what entered holds in both layouts at both
+// parameter tiers.
 func TestFusedLayerPredictionIsConservative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=8192 inference skipped in short mode")
@@ -373,24 +395,25 @@ func TestFusedLayerPredictionIsConservative(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, fr := inferReported(t, engine, ci)
+				_, fr, measured := inferMeasured(t, engine, ci, s.client)
 				if len(fr.Layers) != len(plan) {
 					t.Fatalf("report has %d layers, plan %d", len(fr.Layers), len(plan))
 				}
 				act, pool := layerOfKind(t, fr, "act"), layerOfKind(t, fr, "pool")
-				if !act.Fused || act.Transitions != 0 || act.MeasuredBudgetMinBits != nil {
-					t.Errorf("act layer %+v: want fused, no ECALL, nothing measured", act)
+				if !act.Fused || act.Transitions != 0 || act.CtsCrossed != 0 {
+					t.Errorf("act layer %+v: want fused, no ECALL, nothing crossed", act)
 				}
-				if !pool.Fused || pool.Transitions == 0 || pool.MeasuredBudgetMinBits == nil || pool.PredictedBudgetBits == nil {
+				entering, ok := measured[pool.Label]
+				if !pool.Fused || pool.Transitions == 0 || !ok || pool.PredictedBudgetBits == nil {
 					t.Fatalf("pool layer %+v: want fused with the stage's ECALL, prediction and measurement", pool)
 				}
 				conv := layerOfKind(t, fr, "conv")
 				if g := plan[pool.Step].CoeffIn; lanes == 1 {
 					// Scalar layout: the 288 conv outputs cross g to a
 					// ciphertext, predicted at the budget after that fold.
-					if g < 2 || pool.CoeffIn != g || pool.MeasuredCts != (288+g-1)/g {
-						t.Errorf("plan packs %d values per ciphertext; the crossing reports %d and the enclave measured %d ciphertexts, want ⌈288/g⌉",
-							g, pool.CoeffIn, pool.MeasuredCts)
+					if g < 2 || pool.CoeffIn != g || pool.CtsCrossed != (288+g-1)/g {
+						t.Errorf("plan packs %d values per ciphertext; the crossing reports %d and carried %d ciphertexts, want ⌈288/g⌉",
+							g, pool.CoeffIn, pool.CtsCrossed)
 					}
 					if *pool.PredictedBudgetBits != plan[pool.Step].PredictedBudgetBits || *pool.PredictedBudgetBits >= *conv.PredictedBudgetBits {
 						t.Errorf("packed prediction %.2f bits (plan says %.2f); want the plan's, below the conv output's %.2f",
@@ -399,17 +422,17 @@ func TestFusedLayerPredictionIsConservative(t *testing.T) {
 				} else {
 					// Lanes hold the slots: one ciphertext per map position,
 					// predicted at the conv output's budget.
-					if pool.CoeffIn != 1 || pool.MeasuredCts != 2*12*12 {
-						t.Errorf("lane crossing reports %d values per ciphertext and measured %d, want the whole 288-ciphertext conv output",
-							pool.CoeffIn, pool.MeasuredCts)
+					if pool.CoeffIn != 1 || pool.CtsCrossed != 2*12*12 {
+						t.Errorf("lane crossing reports %d values per ciphertext and carried %d, want the whole 288-ciphertext conv output",
+							pool.CoeffIn, pool.CtsCrossed)
 					}
 					if *pool.PredictedBudgetBits != *conv.PredictedBudgetBits {
 						t.Errorf("fused prediction %.2f bits; want the conv output's %.2f", *pool.PredictedBudgetBits, *conv.PredictedBudgetBits)
 					}
 				}
-				if *pool.PredictedBudgetBits > *pool.MeasuredBudgetMinBits {
+				if *pool.PredictedBudgetBits > entering {
 					t.Errorf("prediction %.2f bits exceeds the measured minimum %.2f: the accountant is unsound on the fused stage",
-						*pool.PredictedBudgetBits, *pool.MeasuredBudgetMinBits)
+						*pool.PredictedBudgetBits, entering)
 				}
 			})
 		}

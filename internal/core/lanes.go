@@ -93,9 +93,7 @@ func (st *enclaveState) encryptChunked(keys *loadedKeys, n, workers int, out []*
 
 // lanePack merges req.Lanes scalar ciphertext groups, laid out lane-major
 // (lane k's P ciphertexts at offset k*P), into P slot-packed fresh
-// ciphertexts whose CRT slot k carries lane k's value. The measured noise
-// budgets of every decrypted input ride back in the reply envelope — the
-// per-lane attribution point for ciphertexts entering a packed pass.
+// ciphertexts whose CRT slot k carries lane k's value.
 func (st *enclaveState) lanePack(ctx *sgx.Context, input []byte) ([]byte, error) {
 	st.touchKeys(ctx)
 	keys, err := st.loadKeys(ctx)
@@ -124,17 +122,14 @@ func (st *enclaveState) lanePack(ctx *sgx.Context, input []byte) ([]byte, error)
 	p := len(cts) / k
 	t := st.params.T
 	// Decrypt every lane's scalar ciphertexts. The decryptor allocates its
-	// own scratch and is safe to share, so large packs fan out across
-	// workers; budgets are collected per index and folded afterwards.
+	// own scratch and is safe to share, so large packs fan out across workers.
 	vals := make([]int64, len(cts))
-	bits := make([]float64, len(cts))
 	workers := laneWorkers(len(cts))
 	err = linear.ParallelFor(len(cts), workers, func(i int) error {
-		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
+		pt, err := keys.dec.Decrypt(cts[i])
 		if err != nil {
 			return fmt.Errorf("lane pack decrypt %d: %w", i, err)
 		}
-		bits[i] = b
 		c := pt.Poly.Coeffs[0]
 		v := int64(c)
 		if c > t/2 {
@@ -145,10 +140,6 @@ func (st *enclaveState) lanePack(ctx *sgx.Context, input []byte) ([]byte, error)
 	})
 	if err != nil {
 		return nil, err
-	}
-	var meter budgetMeter
-	for _, b := range bits {
-		meter.observe(b)
 	}
 	ctx.Touch(st.params.N * 8 * 2 * len(cts))
 	// Transpose position by position: slot k of packed ciphertext pos is
@@ -173,19 +164,13 @@ func (st *enclaveState) lanePack(ctx *sgx.Context, input []byte) ([]byte, error)
 		return nil, err
 	}
 	ctx.Touch(st.params.N * 8 * 2 * p)
-	enc, err := encodeCiphertextBatch(out)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+	return encodeCiphertextBatch(out)
 }
 
 // laneDemux splits P slot-packed ciphertexts back into req.Lanes scalar
 // groups, lane-major: output k*P+pos is lane k's value at pos, re-encrypted
 // as a fresh scalar ciphertext. Keeping the demux inside the enclave means
-// no client's reply ever carries another lane's logits. The measured
-// budgets of the packed ciphertexts ride back in the envelope — the noise
-// the shared pass accumulated, attributed to every lane it served.
+// no client's reply ever carries another lane's logits.
 func (st *enclaveState) laneDemux(ctx *sgx.Context, input []byte) ([]byte, error) {
 	st.touchKeys(ctx)
 	keys, err := st.loadKeys(ctx)
@@ -213,14 +198,12 @@ func (st *enclaveState) laneDemux(ctx *sgx.Context, input []byte) ([]byte, error
 		return nil, fmt.Errorf("lane demux: empty batch")
 	}
 	vals := make([]int64, k*p)
-	bits := make([]float64, p)
 	workers := laneWorkers(k * p)
 	err = linear.ParallelFor(p, workers, func(i int) error {
-		pt, b, err := keys.dec.DecryptWithBudget(cts[i])
+		pt, err := keys.dec.Decrypt(cts[i])
 		if err != nil {
 			return fmt.Errorf("lane demux decrypt %d: %w", i, err)
 		}
-		bits[i] = b
 		slots, err := codec.Decode(pt)
 		if err != nil {
 			return fmt.Errorf("lane demux decode %d: %w", i, err)
@@ -232,10 +215,6 @@ func (st *enclaveState) laneDemux(ctx *sgx.Context, input []byte) ([]byte, error
 	})
 	if err != nil {
 		return nil, err
-	}
-	var meter budgetMeter
-	for _, b := range bits {
-		meter.observe(b)
 	}
 	ctx.Touch(st.params.N * 8 * 2 * p)
 	t := int64(st.params.T)
@@ -255,9 +234,5 @@ func (st *enclaveState) laneDemux(ctx *sgx.Context, input []byte) ([]byte, error
 		return nil, err
 	}
 	ctx.Touch(st.params.N * 8 * 2 * k * p)
-	enc, err := encodeCiphertextBatch(out)
-	if err != nil {
-		return nil, err
-	}
-	return meter.wrap(enc), nil
+	return encodeCiphertextBatch(out)
 }

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"hesgx/internal/he"
@@ -23,9 +22,9 @@ import (
 // hundreds of megabytes; allocating them fresh each call forces the runtime
 // to zero a reused span before every encode, which profiles as the dominant
 // cost of a pack. Ownership is strictly linear: the encoder takes a buffer
-// from the pool, exactly one consumer returns it (Nonlinear for request and
-// reply payloads, budgetMeter.wrap for the enclave-side batch), and buffers
-// that escape to long-lived owners (wire marshals) simply never come back.
+// from the pool, exactly one consumer returns it (Nonlinear, for the request
+// payload and for the reply batch the enclave encoded), and buffers that
+// escape to long-lived owners (wire marshals) simply never come back.
 var payloadPool sync.Pool
 
 // getPayloadBuffer returns an empty bytes.Buffer with at least n bytes of
@@ -133,63 +132,6 @@ func decodeCiphertextBatch(b []byte, params he.Parameters) ([]*he.Ciphertext, er
 		out[i] = ct
 	}
 	return out, nil
-}
-
-// nonlinearReply is the payload every non-linear ECALL returns: the
-// re-encrypted ciphertext batch plus the invariant-noise budget the enclave
-// measured on the ciphertexts it decrypted. The enclave already pays for
-// those decryptions (§IV-D/E), so the telemetry rides along for free — this
-// envelope is how the real remaining budget at each SGX refresh point
-// escapes the enclave without exposing anything beyond an aggregate noise
-// magnitude.
-type nonlinearReply struct {
-	// BudgetMin/BudgetMean summarize the measured remaining noise budget
-	// (bits) over the decrypted input batch.
-	BudgetMin  float64
-	BudgetMean float64
-	// Measured counts the ciphertexts the summary covers (0: none measured).
-	Measured uint32
-	// CTs is the encoded re-encrypted ciphertext batch.
-	CTs []byte
-}
-
-func (m *nonlinearReply) marshal() []byte {
-	buf := getPayloadBuffer(24 + len(m.CTs))
-	writeU64(buf, math.Float64bits(m.BudgetMin))
-	writeU64(buf, math.Float64bits(m.BudgetMean))
-	writeU32(buf, m.Measured)
-	writeU32(buf, uint32(len(m.CTs)))
-	buf.Write(m.CTs)
-	return buf.Bytes()
-}
-
-func unmarshalNonlinearReply(b []byte) (*nonlinearReply, error) {
-	r := bytes.NewReader(b)
-	m := &nonlinearReply{}
-	v, err := readU64(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reply budget min: %w", err)
-	}
-	m.BudgetMin = math.Float64frombits(v)
-	if v, err = readU64(r); err != nil {
-		return nil, fmt.Errorf("core: reply budget mean: %w", err)
-	}
-	m.BudgetMean = math.Float64frombits(v)
-	if m.Measured, err = readU32(r); err != nil {
-		return nil, fmt.Errorf("core: reply measured count: %w", err)
-	}
-	n, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reply payload length: %w", err)
-	}
-	if int(n) != r.Len() {
-		return nil, fmt.Errorf("core: reply payload length %d != %d remaining", n, r.Len())
-	}
-	// Alias the payload tail instead of copying: ECALL reply buffers are
-	// single-owner, and the batch can be hundreds of megabytes when lanes
-	// are packed.
-	m.CTs = b[len(b)-r.Len():]
-	return m, nil
 }
 
 // nonlinearRequest is the payload for enclave non-linear layer calls:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"hesgx/internal/diag"
 	"hesgx/internal/he"
 	"hesgx/internal/trace"
 )
@@ -57,11 +56,6 @@ func (s *EnclaveService) Nonlinear(ctx context.Context, op NonlinearOp, cts []*h
 	// Attribute this boundary crossing's simulated SGX cost to the
 	// request(s) that paid it — a batched call's span lands in every
 	// joined trace.
-	rep, err := unmarshalNonlinearReply(out)
-	if err != nil {
-		span.Arg("error", 1).End()
-		return nil, err
-	}
 	span.Arg("cts", float64(len(cts)))
 	if op.CoeffIn > 0 {
 		span.Arg("coeff_in", float64(op.CoeffIn))
@@ -69,50 +63,16 @@ func (s *EnclaveService) Nonlinear(ctx context.Context, op NonlinearOp, cts []*h
 	span.Arg("transitions", float64(cs.Transitions())).
 		Arg("page_faults", float64(cs.PageFaults)).
 		Arg("overhead_ms", durMS(cs.Overhead)).
-		Arg("compute_ms", durMS(cs.Compute))
-	if rep.Measured > 0 {
-		span.Arg("budget_min_bits", rep.BudgetMin).
-			Arg("budget_mean_bits", rep.BudgetMean).
-			Arg("budget_cts", float64(rep.Measured))
-	}
-	span.End()
+		Arg("compute_ms", durMS(cs.Compute)).
+		End()
 	if s.metrics != nil {
 		s.metrics.ObserveHistogram("ecall."+op.Kind.String()+"_ms", durMS(wall))
 		s.metrics.Counter("ecall.transitions").Add(int64(cs.Transitions()))
 		s.metrics.Counter("ecall.page_faults").Add(int64(cs.PageFaults))
-		if rep.Measured > 0 {
-			s.metrics.Observe("noise.budget_remaining_bits", rep.BudgetMin)
-			s.metrics.Observe("noise.budget_mean_bits", rep.BudgetMean)
-		}
 	}
-	if rep.Measured > 0 && s.noiseWarnBits > 0 && rep.BudgetMin < s.noiseWarnBits {
-		// The worst ciphertext entering this refresh is close to decryption
-		// failure: alert before the pipeline silently returns garbage.
-		if s.metrics != nil {
-			s.metrics.Counter("noise.low_budget_alerts").Inc()
-		}
-		if s.logger != nil {
-			s.logger.Warn("noise budget below threshold",
-				"op", op.Kind.String(),
-				"budget_bits", rep.BudgetMin,
-				"threshold_bits", s.noiseWarnBits,
-				"cts", rep.Measured,
-				"trace_id", trace.ID(ctx))
-		}
-		s.events.Publish(diag.Event{
-			Type:      diag.TypeNoiseLowBudget,
-			Severity:  diag.SeverityWarn,
-			Stage:     op.Kind.String(),
-			TraceID:   trace.ID(ctx),
-			Value:     rep.BudgetMin,
-			Threshold: s.noiseWarnBits,
-			Message: fmt.Sprintf("measured noise budget %.2f bits below the %.2f-bit floor entering %s (%d cts)",
-				rep.BudgetMin, s.noiseWarnBits, op.Kind.String(), rep.Measured),
-		})
-	}
-	res, err := decodeCiphertextBatch(rep.CTs, s.params)
-	// rep.CTs aliases the reply buffer; once decoded into fresh
-	// ciphertexts the buffer is dead and can be recycled.
+	res, err := decodeCiphertextBatch(out, s.params)
+	// Decoding copied the batch into fresh ciphertexts; the reply buffer is
+	// dead and can be recycled.
 	putPayload(out)
 	return res, err
 }

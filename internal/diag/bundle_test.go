@@ -179,7 +179,7 @@ func TestRenderIncidentFusedPair(t *testing.T) {
 		{"step": 0, "kind": "conv", "label": "00_conv", "wall_ms": 400},
 		{"step": 1, "kind": "act", "label": "01_act", "wall_ms": 0.01, "fused": true},
 		{"step": 2, "kind": "pool", "label": "02_pool", "wall_ms": 2000, "fused": true,
-		 "cts_in": 3456, "coeff_in": 650, "transitions": 2, "page_faults": 45379, "measured_budget_min_bits": 21.5}]}]`
+		 "cts_in": 3456, "coeff_in": 650, "transitions": 2, "page_faults": 45379}]}]`
 	b, err := ReadBundle(bytes.NewReader(makeBundle(t, [][2]string{{"reports.json", reports}})))
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestRenderIncidentFusedPair(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fused: applied inside 02_pool's ECALL",
-		"page_faults 45379  budget_min 21.50 bits  fused: one ECALL applies 01_act, then pools  coeff_in 650 (3456 values crossed in 6 cts)",
+		"page_faults 45379  fused: one ECALL applies 01_act, then pools  coeff_in 650 (3456 values crossed in 6 cts)",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("incident report missing %q:\n%s", want, out.String())
@@ -198,5 +198,24 @@ func TestRenderIncidentFusedPair(t *testing.T) {
 	}
 	if strings.Count(out.String(), "fused:") != 2 {
 		t.Errorf("unfused layers marked fused:\n%s", out.String())
+	}
+}
+
+// Without a trigger trace to follow, the incident report shows the slowest
+// captured request.
+func TestRenderIncidentPicksSlowestReport(t *testing.T) {
+	reports := `[{"trace_id": 1, "name": "request", "wall_ms": 40, "layers": [{"step": 0, "kind": "conv", "label": "00_conv", "wall_ms": 40}]},
+		{"trace_id": 2, "name": "request", "wall_ms": 900, "layers": [{"step": 0, "kind": "conv", "label": "00_conv", "wall_ms": 900}]},
+		{"trace_id": 3, "name": "request", "wall_ms": 60, "layers": [{"step": 0, "kind": "conv", "label": "00_conv", "wall_ms": 60}]}]`
+	b, err := ReadBundle(bytes.NewReader(makeBundle(t, [][2]string{{"reports.json", reports}})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := RenderIncident(&out, b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `trace 2 "request": wall 900.00ms`) {
+		t.Errorf("incident report does not show the slowest request:\n%s", out.String())
 	}
 }

@@ -56,8 +56,8 @@ func TestCapturerTriggeredBundleEndToEnd(t *testing.T) {
 	bus.Publish(Event{Type: TypeSLOResolved, Severity: SeverityInfo})
 	ok := waitFor(t, 5*time.Second, func() bool {
 		bus.Publish(Event{
-			Type: TypeNoiseLowBudget, Severity: SeverityWarn, Stage: "sigmoid",
-			TraceID: 0xABCD, Value: 3.5, Threshold: 10, Message: "budget low",
+			Type: TypeSGXAnomaly, Severity: SeverityWarn, Stage: "page_faults",
+			TraceID: 0xABCD, Value: 35, Threshold: 10, Message: "paging spike",
 		})
 		return c.Captures() == 1
 	})
@@ -86,8 +86,8 @@ func TestCapturerTriggeredBundleEndToEnd(t *testing.T) {
 		t.Errorf("format version %d, want %d", b.Manifest.FormatVersion, BundleFormatVersion)
 	}
 	trig := b.Trigger()
-	if trig == nil || trig.Type != TypeNoiseLowBudget || trig.TraceID != 0xABCD {
-		t.Fatalf("trigger = %+v, want the noise.low_budget event", trig)
+	if trig == nil || trig.Type != TypeSGXAnomaly || trig.TraceID != 0xABCD {
+		t.Fatalf("trigger = %+v, want the sgx anomaly event", trig)
 	}
 	if events := b.Events(); len(events) < 2 {
 		t.Errorf("bundled %d events, want the recent log", len(events))
@@ -118,7 +118,7 @@ func TestCapturerTriggeredBundleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := out.String()
-	for _, want := range []string{"incident report", "noise.low_budget", "trace=43981", "goroutines:"} {
+	for _, want := range []string{"incident report", string(TypeSGXAnomaly), "trace=43981", "goroutines:"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("rendered report missing %q\n%s", want, report)
 		}

@@ -20,9 +20,6 @@ const (
 	TypeSLOTicket Type = "slo.ticket"
 	// TypeSLOResolved: a previously firing severity stopped firing.
 	TypeSLOResolved Type = "slo.resolved"
-	// TypeNoiseLowBudget: the enclave measured an invariant-noise budget
-	// below the configured floor entering a refresh.
-	TypeNoiseLowBudget Type = "noise.low_budget"
 	// TypeShedSpike: the admission scheduler's shed rate jumped over the
 	// monitor's threshold within one recorder tick.
 	TypeShedSpike Type = "serve.shed_spike"
@@ -80,8 +77,8 @@ type Event struct {
 	// Message is a one-line human rendering.
 	Message string `json:"message"`
 	// Value and Threshold capture the judgement: the observed reading and
-	// the bound it crossed (burn rate vs factor, budget bits vs floor,
-	// shed fraction vs limit).
+	// the bound it crossed (burn rate vs factor, per-ECALL cost vs
+	// baseline, shed fraction vs limit).
 	Value     float64 `json:"value,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	// Attrs carries additional publisher-specific context.

@@ -166,8 +166,8 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 		bw.printf("(no flight reports captured)\n")
 		return
 	}
-	// Worst = the trigger's own trace when bundled; otherwise the tightest
-	// measured noise budget, falling back to the slowest wall clock.
+	// Worst = the trigger's own trace when bundled; otherwise the slowest
+	// wall clock.
 	worst := reports[0]
 	matched := false
 	if trigger != nil && trigger.TraceID != 0 {
@@ -182,27 +182,14 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 	}
 	if !matched {
 		for _, r := range reports[1:] {
-			if r == nil {
-				continue
-			}
-			switch {
-			case worse(r.MinMeasuredBudgetBits, worst.MinMeasuredBudgetBits):
-				worst = r
-			case budgetEq(r.MinMeasuredBudgetBits, worst.MinMeasuredBudgetBits) && r.WallMS > worst.WallMS:
+			if r.WallMS > worst.WallMS {
 				worst = r
 			}
 		}
 	}
-	if worst == nil {
-		bw.printf("(no usable flight report)\n")
-		return
-	}
 	bw.printf("trace %d %q: wall %.2fms queue %.2fms", worst.TraceID, worst.Name, worst.WallMS, worst.QueueWaitMS)
 	if worst.Lanes > 0 {
 		bw.printf(" lanes %d", worst.Lanes)
-	}
-	if v := worst.MinMeasuredBudgetBits; v != nil {
-		bw.printf(" min_measured_budget %.2f bits", *v)
 	}
 	if v := worst.MinPredictedBudgetBits; v != nil {
 		bw.printf(" min_predicted_budget %.2f bits", *v)
@@ -215,9 +202,6 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 		}
 		if l.PageFaults > 0 {
 			bw.printf("  page_faults %d", l.PageFaults)
-		}
-		if v := l.MeasuredBudgetMinBits; v != nil {
-			bw.printf("  budget_min %.2f bits", *v)
 		}
 		// A fused act+pool pair shares one ECALL, carried by the pool layer.
 		switch {
@@ -232,22 +216,6 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 		}
 		bw.printf("\n")
 	}
-}
-
-// worse reports whether budget a is strictly tighter than b (nil = not
-// measured = never worse).
-func worse(a, b *float64) bool {
-	if a == nil {
-		return false
-	}
-	return b == nil || *a < *b
-}
-
-func budgetEq(a, b *float64) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return *a == *b
 }
 
 func shorten(s string, n int) string {

@@ -99,16 +99,10 @@ func StartSelftest(logw io.Writer) (*Selftest, error) {
 	}
 	metrics := stats.NewRegistry()
 	bus := diag.NewBus(diag.DefaultBusCapacity, metrics)
-	// The toy N=1024 batching parameters are sized to land exact results
-	// with essentially zero noise headroom at the end of the pipeline
-	// (lane_demux routinely measures ~0 bits while the serve-package
-	// equivalence tests prove the results exact). A budget floor at this
-	// tier would alert on healthy runs, so the noise alert is disabled;
-	// the soak's zero-bundle gate covers the load-dependent signals (shed
+	// The soak's zero-bundle gate covers the load-dependent signals (shed
 	// spikes, wire faults, SGX anomalies, SLO pages).
 	svc, err := core.NewEnclaveService(platform, params,
-		core.WithKeySource(ring.NewSeededSource(31)), core.WithEventBus(bus),
-		core.WithNoiseWarnThreshold(-1))
+		core.WithKeySource(ring.NewSeededSource(31)))
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: selftest enclave: %w", err)
 	}

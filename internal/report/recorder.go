@@ -52,9 +52,8 @@ func (r *Recorder) Observe(tr *trace.Trace) {
 	r.record(rep)
 }
 
-// record folds one report into the registry: per-layer wall time and noise
-// budgets keyed by the stable layer label, plus the predicted-vs-measured
-// gap — how much headroom the conservative accountant leaves on the table.
+// record folds one report into the registry: per-layer wall time and
+// predicted noise budget keyed by the stable layer label.
 func (r *Recorder) record(rep *FlightReport) {
 	if r.metrics == nil {
 		return
@@ -65,12 +64,6 @@ func (r *Recorder) record(rep *FlightReport) {
 		r.metrics.ObserveHistogram(key+".wall_ms", l.WallMS)
 		if l.PredictedBudgetBits != nil {
 			r.metrics.Observe(key+".pred_budget_bits", *l.PredictedBudgetBits)
-		}
-		if l.MeasuredBudgetMinBits != nil {
-			r.metrics.Observe(key+".budget_min_bits", *l.MeasuredBudgetMinBits)
-			if l.PredictedBudgetBits != nil {
-				r.metrics.Observe("noise.predicted_gap_bits", *l.MeasuredBudgetMinBits-*l.PredictedBudgetBits)
-			}
 		}
 	}
 }

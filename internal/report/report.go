@@ -1,10 +1,11 @@
 // Package report turns finished request traces into per-layer "flight
 // reports": for every inference, how long each layer took, what it cost in
 // NTTs, enclave transitions and EPC paging, and — the paper's central
-// resource — how much invariant-noise budget the ciphertexts had left, both
-// as the static accountant predicted at plan time and as the enclave
-// measured at each SGX refresh (§IV-E). The Recorder observes traces as the
-// Tracer finishes them, retains the last N reports for the admin endpoint's
+// resource — how much invariant-noise budget the static accountant predicted
+// the ciphertexts would have left (§IV-E). Nothing here is measured on
+// decrypted data: only the key holder may measure a budget, and a host that
+// could watch one would learn the secret key. The Recorder observes traces as
+// the Tracer finishes them, retains the last N reports for the admin endpoint's
 // /inference/last, and folds per-layer series into the metrics registry.
 package report
 
@@ -57,7 +58,7 @@ type Layer struct {
 	CoeffIn int `json:"coeff_in,omitempty"`
 	// Fused marks the two halves of an activation+pool pair the planner
 	// merged into one enclave stage. The act layer issued no ECALL (no
-	// transitions, no measured budget, ~0 ms); the pool layer behind it
+	// transitions, nothing crossed, ~0 ms); the pool layer behind it
 	// carries the stage's one ECALL, which applied the activation before
 	// pooling, and both predictions are the budget entering that ECALL.
 	Fused bool `json:"fused,omitempty"`
@@ -68,38 +69,28 @@ type Layer struct {
 	ECallOverheadMS float64 `json:"ecall_overhead_ms,omitempty"`
 	ECallComputeMS  float64 `json:"ecall_compute_ms,omitempty"`
 
+	// CtsCrossed counts the ciphertexts this layer's ECALLs carried into
+	// the enclave (0: the layer never crossed). Under shared batches it
+	// covers the whole flushed batch.
+	CtsCrossed int `json:"cts_crossed,omitempty"`
 	// SharedRequests is the peak occupancy of the cross-request batches
-	// this layer's ECALLs rode in (0: unbatched). Budget summaries below
-	// cover the whole flushed batch, so under shared batches they are
-	// approximate per-request attribution — exact when 1.
+	// this layer's ECALLs rode in (0: unbatched).
 	SharedRequests int `json:"shared_requests,omitempty"`
 
 	// PredictedBudgetBits is the static noise accountant's conservative
 	// bound: for linear layers the budget of the outputs, for enclave
 	// layers the budget entering the refresh.
 	PredictedBudgetBits *float64 `json:"predicted_budget_bits,omitempty"`
-	// MeasuredBudgetMinBits/MeanBits summarize the budget the enclave
-	// measured on the ciphertexts it decrypted for this layer; nil when the
-	// layer never crossed into the enclave.
-	MeasuredBudgetMinBits  *float64 `json:"measured_budget_min_bits,omitempty"`
-	MeasuredBudgetMeanBits *float64 `json:"measured_budget_mean_bits,omitempty"`
-	// MeasuredCts counts the decrypted ciphertexts the summary covers.
-	MeasuredCts int `json:"measured_cts,omitempty"`
 }
 
-// LaneStage summarizes one enclave repack stage of a slot-batched request
-// (lane_pack or lane_demux): its SGX costs and the noise budget the enclave
-// measured on the ciphertexts it decrypted. Shared by every request in the
-// packed pass, so the costs are per-pass, not per-request.
+// LaneStage summarizes the SGX costs of one enclave repack stage of a
+// slot-batched request (lane_pack or lane_demux). Shared by every request in
+// the packed pass, so the costs are per-pass, not per-request.
 type LaneStage struct {
 	Transitions     int     `json:"transitions,omitempty"`
 	PageFaults      int     `json:"page_faults,omitempty"`
 	ECallOverheadMS float64 `json:"ecall_overhead_ms,omitempty"`
 	ECallComputeMS  float64 `json:"ecall_compute_ms,omitempty"`
-
-	MeasuredBudgetMinBits  *float64 `json:"measured_budget_min_bits,omitempty"`
-	MeasuredBudgetMeanBits *float64 `json:"measured_budget_mean_bits,omitempty"`
-	MeasuredCts            int      `json:"measured_cts,omitempty"`
 }
 
 // FlightReport is the per-request attribution document served at
@@ -128,10 +119,9 @@ type FlightReport struct {
 
 	Layers []Layer `json:"layers"`
 
-	// MinPredictedBudgetBits / MinMeasuredBudgetBits are the tightest spots
-	// of the whole pipeline — the headroom number an operator watches.
+	// MinPredictedBudgetBits is the tightest spot of the whole pipeline —
+	// the headroom number an operator watches.
 	MinPredictedBudgetBits *float64 `json:"min_predicted_budget_bits,omitempty"`
-	MinMeasuredBudgetBits  *float64 `json:"min_measured_budget_bits,omitempty"`
 }
 
 func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
@@ -273,24 +263,9 @@ func FromTrace(tr *trace.Trace) *FlightReport {
 			if v, ok := argVal(s, "compute_ms"); ok {
 				l.ECallComputeMS += v
 			}
-			n, ok := argVal(s, "budget_cts")
-			if !ok || n <= 0 {
-				continue
+			if v, ok := argVal(s, "cts"); ok {
+				l.CtsCrossed += int(v)
 			}
-			if v, ok := argVal(s, "budget_min_bits"); ok {
-				if l.MeasuredBudgetMinBits == nil || v < *l.MeasuredBudgetMinBits {
-					m := v
-					l.MeasuredBudgetMinBits = &m
-				}
-			}
-			if v, ok := argVal(s, "budget_mean_bits"); ok {
-				// Accumulate a count-weighted mean across this layer's
-				// (possibly several) ECALLs.
-				total := float64(l.MeasuredCts)
-				m := (totalMean(l)*total + v*n) / (total + n)
-				l.MeasuredBudgetMeanBits = &m
-			}
-			l.MeasuredCts += int(n)
 		case s.Name == "batch.wait":
 			id, ok := layerOf(s)
 			if !ok {
@@ -315,23 +290,6 @@ func FromTrace(tr *trace.Trace) *FlightReport {
 				rep.MinPredictedBudgetBits = &v
 			}
 		}
-		if m := l.MeasuredBudgetMinBits; m != nil {
-			if rep.MinMeasuredBudgetBits == nil || *m < *rep.MinMeasuredBudgetBits {
-				v := *m
-				rep.MinMeasuredBudgetBits = &v
-			}
-		}
-	}
-	// The lane repack stages decrypt real ciphertexts too; their measured
-	// minima count toward the pipeline-wide tightest spot.
-	for _, st := range []*LaneStage{rep.LanePack, rep.LaneDemux} {
-		if st == nil || st.MeasuredBudgetMinBits == nil {
-			continue
-		}
-		if rep.MinMeasuredBudgetBits == nil || *st.MeasuredBudgetMinBits < *rep.MinMeasuredBudgetBits {
-			v := *st.MeasuredBudgetMinBits
-			rep.MinMeasuredBudgetBits = &v
-		}
 	}
 	return rep
 }
@@ -354,32 +312,5 @@ func foldLaneStage(st *LaneStage, s trace.Span) *LaneStage {
 	if v, ok := argVal(s, "compute_ms"); ok {
 		st.ECallComputeMS += v
 	}
-	n, ok := argVal(s, "budget_cts")
-	if !ok || n <= 0 {
-		return st
-	}
-	if v, ok := argVal(s, "budget_min_bits"); ok {
-		if st.MeasuredBudgetMinBits == nil || v < *st.MeasuredBudgetMinBits {
-			m := v
-			st.MeasuredBudgetMinBits = &m
-		}
-	}
-	if v, ok := argVal(s, "budget_mean_bits"); ok {
-		total := float64(st.MeasuredCts)
-		prev := 0.0
-		if st.MeasuredBudgetMeanBits != nil {
-			prev = *st.MeasuredBudgetMeanBits
-		}
-		m := (prev*total + v*n) / (total + n)
-		st.MeasuredBudgetMeanBits = &m
-	}
-	st.MeasuredCts += int(n)
 	return st
-}
-
-func totalMean(l *Layer) float64 {
-	if l.MeasuredBudgetMeanBits == nil {
-		return 0
-	}
-	return *l.MeasuredBudgetMeanBits
 }

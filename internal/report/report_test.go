@@ -10,7 +10,7 @@ import (
 )
 
 // buildTrace assembles a synthetic two-layer inference trace: a conv layer
-// with NTT counts and an act layer whose ECALL carries measured budgets.
+// with NTT counts and an act layer whose ECALL carries 25 ciphertexts.
 func buildTrace(tracer *trace.Tracer) *trace.Trace {
 	tr := tracer.Start("request")
 	ctx := trace.With(context.Background(), tr)
@@ -33,9 +33,7 @@ func buildTrace(tracer *trace.Tracer) *trace.Trace {
 	bw.Arg("shared_requests", 3)
 	_, ec := trace.StartSpan(bctx, "ecall.sigmoid", "sgx")
 	ec.Arg("cts", 25).Arg("transitions", 2).Arg("page_faults", 7).
-		Arg("overhead_ms", 1.5).Arg("compute_ms", 0.5).
-		Arg("budget_min_bits", 14.0).Arg("budget_mean_bits", 16.0).
-		Arg("budget_cts", 25)
+		Arg("overhead_ms", 1.5).Arg("compute_ms", 0.5)
 	ec.End()
 	bw.End()
 	act.Arg("cts_out", 25).End()
@@ -70,8 +68,8 @@ func TestFromTrace(t *testing.T) {
 	if conv.Kind != "conv" || conv.Label != "00_conv" || conv.NTTForward != 12 || conv.NTTInverse != 3 {
 		t.Errorf("conv layer mismatch: %+v", conv)
 	}
-	if conv.MeasuredBudgetMinBits != nil {
-		t.Error("conv layer must have no measured budget")
+	if conv.CtsCrossed != 0 || conv.Transitions != 0 {
+		t.Errorf("conv layer crossed %d cts in %d transitions, want none", conv.CtsCrossed, conv.Transitions)
 	}
 	if act.Kind != "act" || act.Label != "01_act" {
 		t.Errorf("act layer mismatch: %+v", act)
@@ -79,23 +77,14 @@ func TestFromTrace(t *testing.T) {
 	if act.Transitions != 2 || act.PageFaults != 7 || act.SharedRequests != 3 {
 		t.Errorf("ecall attribution mismatch: %+v", act)
 	}
-	if act.MeasuredBudgetMinBits == nil || *act.MeasuredBudgetMinBits != 14.0 {
-		t.Errorf("measured min = %v, want 14", act.MeasuredBudgetMinBits)
-	}
-	if act.MeasuredBudgetMeanBits == nil || *act.MeasuredBudgetMeanBits != 16.0 {
-		t.Errorf("measured mean = %v, want 16", act.MeasuredBudgetMeanBits)
-	}
-	if act.MeasuredCts != 25 {
-		t.Errorf("measured cts = %d, want 25", act.MeasuredCts)
+	if act.CtsCrossed != 25 {
+		t.Errorf("cts crossed = %d, want 25", act.CtsCrossed)
 	}
 	if act.PredictedBudgetBits == nil || *act.PredictedBudgetBits != 10.25 {
 		t.Errorf("predicted = %v, want 10.25", act.PredictedBudgetBits)
 	}
 	if rep.MinPredictedBudgetBits == nil || *rep.MinPredictedBudgetBits != 10.25 {
 		t.Errorf("min predicted = %v, want 10.25", rep.MinPredictedBudgetBits)
-	}
-	if rep.MinMeasuredBudgetBits == nil || *rep.MinMeasuredBudgetBits != 14.0 {
-		t.Errorf("min measured = %v, want 14", rep.MinMeasuredBudgetBits)
 	}
 
 	// The report must serialize as valid JSON with its documented keys.
@@ -107,7 +96,7 @@ func TestFromTrace(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	for _, key := range []string{"trace_id", "wall_ms", "layers", "min_measured_budget_bits"} {
+	for _, key := range []string{"trace_id", "wall_ms", "layers", "min_predicted_budget_bits"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("report JSON missing %q", key)
 		}
@@ -144,14 +133,11 @@ func TestRecorder(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if snap["layer.01_act.budget_min_bits.count"] != 3 {
-		t.Errorf("budget_min_bits count = %v, want 3", snap["layer.01_act.budget_min_bits.count"])
+	if snap["layer.01_act.pred_budget_bits.count"] != 3 {
+		t.Errorf("pred_budget_bits count = %v, want 3", snap["layer.01_act.pred_budget_bits.count"])
 	}
-	if snap["layer.01_act.budget_min_bits.min"] != 14.0 {
-		t.Errorf("budget_min_bits min = %v, want 14", snap["layer.01_act.budget_min_bits.min"])
-	}
-	if snap["noise.predicted_gap_bits.mean"] != 14.0-10.25 {
-		t.Errorf("predicted gap = %v, want %v", snap["noise.predicted_gap_bits.mean"], 14.0-10.25)
+	if snap["layer.01_act.pred_budget_bits.min"] != 10.25 {
+		t.Errorf("pred_budget_bits min = %v, want 10.25", snap["layer.01_act.pred_budget_bits.min"])
 	}
 	if snap["layer.00_conv.wall_ms.count"] != 3 {
 		t.Errorf("conv wall count = %v, want 3", snap["layer.00_conv.wall_ms.count"])

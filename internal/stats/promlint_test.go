@@ -57,8 +57,8 @@ func TestRegistryExpositionLints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("serve.jobs.submitted").Add(3)
 	reg.Gauge("serve.queue.depth").Set(2)
-	reg.Observe("noise.budget_remaining_bits", 17.25)
-	reg.Observe("layer.03_act.budget_min_bits", 14.5)
+	reg.Observe("layer.04_fc.pred_budget_bits", 17.25)
+	reg.Observe("layer.03_act.pred_budget_bits", 14.5)
 	reg.ObserveHistogram("engine.layer.conv_ms", 12.5)
 	reg.ObserveHistogram("layer.00_conv.wall_ms", 11.0)
 	reg.Sample("empty.sample") // renders count/sum only
