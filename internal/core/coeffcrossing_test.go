@@ -143,10 +143,19 @@ func TestCoeffCrossingRandomNetworks(t *testing.T) {
 				if fcTail {
 					wantOut = 1
 				}
+				// Above the floor the conv lands as the crossing's ciphertexts;
+				// under it the activation ECALL returns one per value to fold.
+				crossed, wantIn := (values+plan.CoeffIn-1)/plan.CoeffIn, values
+				if above {
+					wantIn = crossed
+				}
 				pl := firstPool(t, fr)
-				if pl.CtsIn != values || pl.CoeffIn != plan.CoeffIn || pl.CtsCrossed != (values+plan.CoeffIn-1)/plan.CoeffIn ||
+				if pl.CtsIn != wantIn || pl.CoeffIn != plan.CoeffIn || pl.CtsCrossed != crossed ||
 					pl.CtsOut != wantOut || pl.CoeffTail != fcTail || pl.Fused != above {
-					t.Errorf("pool layer %+v: want %d values crossing %d to a ciphertext, %d ciphertexts out", pl, values, plan.CoeffIn, wantOut)
+					t.Errorf("pool layer %+v: want %d values crossing %d to a ciphertext as %d in, %d ciphertexts out", pl, values, plan.CoeffIn, wantIn, wantOut)
+				}
+				if conv := fr.Layers[0]; above && conv.CtsOut != crossed {
+					t.Errorf("conv layer %+v: want the map landed as %d crossing ciphertexts", conv, crossed)
 				}
 				if fc := layerOfKind(t, fr, "fc"); fc.CoeffTail != fcTail {
 					t.Errorf("fc layer coeff_tail %v, want %v", fc.CoeffTail, fcTail)

@@ -184,6 +184,15 @@ type planStep struct {
 	coeffTail       bool
 	coeffTailReason string
 	coeffRows       bool
+
+	// foldG is set on a conv step whose map reaches a coefficient-packed
+	// crossing unrefreshed: the pool step's coeffIn (> 1), with at most a
+	// fused activation between them (foldFloor). For a scalar-layout request
+	// the conv then lands directly as the crossing's ⌈values/g⌉ ciphertexts
+	// (linear.ConvFold) — behind a fused activation only when the map clears
+	// fusedStageMinValues, since below it the activation refreshes per value.
+	foldG     int
+	foldFloor bool
 }
 
 type stepKind int
@@ -222,6 +231,10 @@ type HybridEngine struct {
 	// slotCapable records whether the parameters support CRT slot batching
 	// (prime t ≡ 1 mod 2n) — the gate for lane-packed images.
 	slotCapable bool
+
+	// folds caches the class tables of the conv steps that land
+	// coefficient-packed (planStep.foldG), per input geometry.
+	folds foldTables
 
 	// packed is the rotation-keyed packed execution plan (nil when
 	// Config.PackedConv is off or the planner fell back); packedReason
@@ -370,6 +383,19 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 			}
 		}
 	}
+	for i, s := range e.steps {
+		if s.kind != stepConv {
+			continue
+		}
+		next := e.steps[i+1:]
+		floor := len(next) > 0 && next[0].kind == stepAct && next[0].fused
+		if floor {
+			next = next[1:]
+		}
+		if len(next) > 0 && next[0].kind == stepPool && next[0].coeffIn > 1 {
+			s.foldG, s.foldFloor = next[0].coeffIn, floor
+		}
+	}
 	if cfg.PackedConv {
 		e.packed, e.packedReason = planPacked(params, e.steps, e.slotCapable)
 	}
@@ -410,7 +436,10 @@ func maxCoeffPacking(entering he.NoiseBound, n int) int {
 // values share each ciphertext entering it (1: the budget allows only the
 // per-value batch; 0: not such a step) — PredictedBudgetBits is then the
 // budget after that packing — and whether the pooled map leaves as one
-// coefficient-packed ciphertext for the FC behind it, or why not.
+// coefficient-packed ciphertext for the FC behind it, or why not. CoeffOut is
+// set on a conv step whose scalar-layout outputs land directly as that
+// crossing's ciphertexts, CoeffOut values each (behind a fused activation,
+// for maps at or above the fusion floor).
 type PlanStepInfo struct {
 	Step                int      `json:"step"`
 	Kind                string   `json:"kind"`
@@ -421,6 +450,7 @@ type PlanStepInfo struct {
 	CoeffIn             int      `json:"coeff_in,omitempty"`
 	CoeffTail           bool     `json:"coeff_tail,omitempty"`
 	CoeffTailReason     string   `json:"coeff_tail_reason,omitempty"`
+	CoeffOut            int      `json:"coeff_out,omitempty"`
 }
 
 // PlanInfo returns the planned steps with their predicted noise budgets —
@@ -429,7 +459,7 @@ func (e *HybridEngine) PlanInfo() []PlanStepInfo {
 	out := make([]PlanStepInfo, len(e.steps))
 	for i, s := range e.steps {
 		out[i] = PlanStepInfo{Step: i, Kind: s.kind.String(), Label: s.label, PredictedBudgetBits: s.predBudgetBits, Fused: s.fused,
-			CoeffIn: s.coeffIn, CoeffTail: s.coeffTail, CoeffTailReason: s.coeffTailReason}
+			CoeffIn: s.coeffIn, CoeffTail: s.coeffTail, CoeffTailReason: s.coeffTailReason, CoeffOut: s.foldG}
 		if e.packed != nil {
 			if bits, ok := e.packed.budgetBits(i); ok {
 				out[i].PackedBudgetBits = &bits
@@ -596,8 +626,10 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 	r := e.params.Ring()
 	// coeffMap is set between a pool step that asked its ECALL for the
 	// coefficient-packed output and the FC that consumes it: cts is then ONE
-	// ciphertext holding the c·h·w pooled values.
-	coeffMap := false
+	// ciphertext holding the c·h·w pooled values. folded is set between a
+	// conv that landed coefficient-packed and the pool whose crossing it
+	// feeds: cts then holds the c·h·w map values g to a ciphertext.
+	coeffMap, folded := false, false
 
 	for i, s := range e.steps {
 		if err := ctx.Err(); err != nil {
@@ -623,12 +655,9 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 			span.Arg("coeff_tail", b2f(coeffMap))
 		}
 		// Both halves of a pair see the same map (a fused activation passes
-		// it on untouched), so they agree on the floor.
-		mapValues := len(cts)
-		if packedStep {
-			mapValues *= h * w // one ciphertext per channel
-		}
-		fusedStep := s.fused && mapValues >= fusedStageMinValues
+		// it on untouched), so they agree on the floor. The floor counts map
+		// values, whatever the layout packs into each ciphertext.
+		fusedStep := s.fused && c*h*w >= fusedStageMinValues
 		if fusedStep {
 			span.Arg("fused", 1)
 		}
@@ -644,13 +673,16 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		pprof.Do(sctx, pprof.Labels("hesgx_layer", s.label), func(lctx context.Context) {
 			switch s.kind {
 			case stepConv:
-				if packedStep {
+				switch {
+				case packedStep:
 					cts, h, w, err = e.runPackedConv(s, cts, h, w, stride, gk)
-					c = s.conv.OutC
-				} else {
+				case s.foldsFor(simd, h, w):
+					cts, h, w, err = e.runConvFold(s, cts, c, h, w)
+					folded = true
+				default:
 					cts, h, w, err = linear.Conv(e.eval, s.conv, s.bias, cts, c, h, w, e.effectiveWorkers())
-					c = s.conv.OutC
 				}
+				c = s.conv.OutC
 				scale *= float64(e.cfg.WeightScale)
 			case stepAct:
 				// A fused activation passes the map on untouched: the pool
@@ -672,7 +704,8 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 						coeffMap = tail
 						span.Arg("coeff_in", float64(g)).Arg("coeff_tail", b2f(tail))
 					}
-					cts, h, w, err = e.runPool(lctx, s, cts, c, h, w, simd, fusedStep)
+					cts, h, w, err = e.runPool(lctx, s, cts, c, h, w, simd, fusedStep, folded)
+					folded = false
 				}
 			case stepFlatten:
 				// No-op on the flat ciphertext slice.
@@ -689,9 +722,11 @@ func (e *HybridEngine) InferContext(ctx context.Context, img *CipherImage) (*Inf
 		})
 		var nttFwd, nttInv uint64
 		if s.kind == stepConv || s.kind == stepFC {
-			// Per-layer transform counts: zero on the scalar kernels, the
-			// hoist and per-output inverses on the coefficient tail, the
-			// key-switch transforms on the packed conv. The ring's counters
+			// Per-layer transform counts: zero on the scalar kernels, one
+			// forward pair per class and one inverse pair per crossing
+			// ciphertext on a conv that lands coefficient-packed, the hoist
+			// and per-output inverses on the coefficient tail, the key-switch
+			// transforms on the packed conv. The ring's counters
 			// are global, so under concurrent inferences a layer's delta
 			// includes transforms of overlapping requests — approximate
 			// attribution, exact totals.
@@ -814,9 +849,16 @@ func (s *planStep) coeffCrossing(simd bool) (g int, tail bool) {
 	return s.coeffIn, s.coeffTail
 }
 
-func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w int, simd, fused bool) ([]*he.Ciphertext, int, int, error) {
-	if len(in) != c*h*w {
-		return nil, 0, 0, fmt.Errorf("pool input %d cts != %d*%d*%d", len(in), c, h, w)
+// runPool runs a pool step. folded says the conv in front already landed the
+// map coefficient-packed at this step's crossing: in then holds ⌈c·h·w/g⌉
+// ciphertexts, not one per value.
+func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Ciphertext, c, h, w int, simd, fused, folded bool) ([]*he.Ciphertext, int, int, error) {
+	values, g := c*h*w, 1
+	if folded {
+		g = s.coeffIn
+	}
+	if want := (values + g - 1) / g; len(in) != want {
+		return nil, 0, 0, fmt.Errorf("pool input %d cts, want %d (%d*%d*%d values, %d per ciphertext)", len(in), want, c, h, w, g)
 	}
 	k := s.window
 	if h%k != 0 || w%k != 0 {
@@ -848,13 +890,83 @@ func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Cipher
 		if !simd {
 			op.CoeffIn, op.CoeffOut = g, tail
 		}
-		var err error
-		if in, err = e.packCoefficients(in, g, e.effectiveWorkers()); err != nil {
-			return nil, 0, 0, err
+		if !folded {
+			var err error
+			if in, err = e.packCoefficients(in, g, e.effectiveWorkers()); err != nil {
+				return nil, 0, 0, err
+			}
 		}
 	}
 	out, err := e.caller.Nonlinear(ctx, op, in)
 	return out, oh, ow, err
+}
+
+// foldsFor reports whether this request's conv lands coefficient-packed: a
+// planned fold, a scalar-layout request whose slots are free, and — behind a
+// fused activation — a map of c·oh·ow values the activation fuses at.
+func (s *planStep) foldsFor(simd bool, h, w int) bool {
+	q := s.conv
+	return s.foldG > 1 && !simd && (!s.foldFloor || q.OutC*q.OutSize(h)*q.OutSize(w) >= fusedStageMinValues)
+}
+
+// maxFoldTables bounds how many input geometries the fold cache keeps: the
+// model fixes one, and a client sending others must not grow the server by
+// a table each.
+const maxFoldTables = 4
+
+// foldTables caches linear.ConvFold class tables per (conv step, input
+// geometry). built counts tables built, cached or not.
+type foldTables struct {
+	mu     sync.Mutex
+	tables map[foldKey]*linear.ConvFold
+	built  int
+}
+
+type foldKey struct {
+	step    *planStep
+	c, h, w int
+}
+
+// convFoldFor returns the class table of conv step s over a c×h×w input,
+// built on first use and cached under the lock, so concurrent first requests
+// build it once.
+func (e *HybridEngine) convFoldFor(s *planStep, c, h, w int) (*linear.ConvFold, error) {
+	f := &e.folds
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	key := foldKey{s, c, h, w}
+	if tab, ok := f.tables[key]; ok {
+		return tab, nil
+	}
+	tab, err := linear.NewConvFold(e.eval, s.conv, s.bias, c, h, w, s.foldG)
+	if err != nil {
+		return nil, err
+	}
+	f.built++
+	if f.tables == nil {
+		f.tables = make(map[foldKey]*linear.ConvFold)
+	}
+	if len(f.tables) < maxFoldTables {
+		f.tables[key] = tab
+	}
+	return tab, nil
+}
+
+// runConvFold computes conv step s over a scalar c×h×w map directly as the
+// ⌈values/g⌉ ciphertexts its coefficient-packed crossing takes.
+func (e *HybridEngine) runConvFold(s *planStep, in []*he.Ciphertext, c, h, w int) ([]*he.Ciphertext, int, int, error) {
+	if len(in) != c*h*w {
+		return nil, 0, 0, fmt.Errorf("conv input %d cts (%dx%dx%d)", len(in), c, h, w)
+	}
+	tab, err := e.convFoldFor(s, c, h, w)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	out, err := tab.Run(e.eval, in, e.effectiveWorkers())
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return out, s.conv.OutSize(h), s.conv.OutSize(w), nil
 }
 
 // packCoefficients folds a scalar map into ⌈len/g⌉ coefficient-packed
@@ -862,7 +974,8 @@ func (e *HybridEngine) runPool(ctx context.Context, s *planStep, in []*he.Cipher
 // i mod g of ciphertext i div g. Multiplying by a monomial is a negacyclic
 // shift of the two polynomials — no key, no NTT, noise norm unchanged — so the
 // untrusted engine does it itself. g = 1 is the map as it stands, one value
-// per ciphertext.
+// per ciphertext. A conv's map with g > 1 never comes here — runConvFold
+// lands it folded; maps an activation ECALL or an FC returned do.
 func (e *HybridEngine) packCoefficients(in []*he.Ciphertext, g, workers int) ([]*he.Ciphertext, error) {
 	if g == 1 {
 		return in, nil

@@ -137,11 +137,12 @@ func TestFlightReportPaperCNN(t *testing.T) {
 		if l.Transitions <= 0 {
 			t.Errorf("enclave layer %s: no transitions attributed", l.Label)
 		}
-		// The 6×24×24 conv map crosses folded g values to a ciphertext, and
-		// the 864 pooled values come back as the FC's one input.
+		// The 6×24×24 conv map lands folded g values to a ciphertext and
+		// crosses as it is, and the 864 pooled values come back as the FC's
+		// one input.
 		g := engine.PlanInfo()[l.Step].CoeffIn
-		if g < 2 || l.CoeffIn != g || l.CtsIn != 3456 || l.CtsCrossed != (3456+g-1)/g || l.CtsOut != 1 || !l.CoeffTail {
-			t.Errorf("layer %s: plan packs %d values per ciphertext; crossing reports %d, %d values in as %d ciphertexts, %d out (coeff_tail %v)",
+		if g < 2 || l.CoeffIn != g || l.CtsIn != (3456+g-1)/g || l.CtsCrossed != (3456+g-1)/g || l.CtsOut != 1 || !l.CoeffTail {
+			t.Errorf("layer %s: plan packs %d values per ciphertext; crossing reports %d, %d ciphertexts in, %d crossed, %d out (coeff_tail %v)",
 				l.Label, g, l.CoeffIn, l.CtsIn, l.CtsCrossed, l.CtsOut, l.CoeffTail)
 		}
 	}

@@ -210,9 +210,10 @@ func renderWorstReport(bw *errWriter, b *Bundle, trigger *Event) {
 		case l.Fused && i > 0:
 			bw.printf("  fused: one ECALL applies %s, then pools", worst.Layers[i-1].Label)
 		}
-		// A planner-owned pool crossing folds its map before the ECALL.
+		// A planner-owned pool crossing carries its map folded, coeff_in
+		// values to a ciphertext.
 		if l.CoeffIn > 0 {
-			bw.printf("  coeff_in %d (%d values crossed in %d cts)", l.CoeffIn, l.CtsIn, (l.CtsIn+l.CoeffIn-1)/l.CoeffIn)
+			bw.printf("  coeff_in %d (%d cts crossed)", l.CoeffIn, l.CtsCrossed)
 		}
 		bw.printf("\n")
 	}

@@ -6,7 +6,9 @@
 // independent weighted sum of input ciphertexts, computed by one call to the
 // evaluator's lazy-reduction kernel (he.Evaluator.WeightedSumInto) over the
 // output's non-zero terms, so the kernels shard positions across a worker
-// pool; the FV evaluator is safe for concurrent use.
+// pool; the FV evaluator is safe for concurrent use. ConvFold is the conv
+// fused with the coefficient fold in front of a packed enclave crossing: it
+// lands the outputs g to a ciphertext as a few plaintext products.
 package linear
 
 import (

@@ -53,8 +53,10 @@ type Layer struct {
 	CoeffTail bool `json:"coeff_tail,omitempty"`
 	// CoeffIn is set on a scalar-layout pool layer whose whole-map crossing
 	// the planner owns: how many map values shared each ciphertext entering
-	// its ECALL (CtsIn values crossed as ⌈CtsIn/CoeffIn⌉ ciphertexts; 1 is
-	// the per-value batch — a lane request, or no budget for more).
+	// its ECALL, 1 for the per-value batch (a lane request, or no budget for
+	// more). CtsIn is then the map already folded, when the conv in front
+	// landed it coefficient-packed, or one ciphertext per value the layer
+	// folds itself; either way CtsCrossed counts the folded ciphertexts.
 	CoeffIn int `json:"coeff_in,omitempty"`
 	// Fused marks the two halves of an activation+pool pair the planner
 	// merged into one enclave stage. The act layer issued no ECALL (no
