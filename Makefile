@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier1.5 verify race vet test bench-serving bench-json bench-ledger bench-ledger-compare bench-smoke bench-regression soak clean
+.PHONY: all build tier1 tier1.5 verify race vet test bench-json bench-ledger bench-ledger-compare bench-smoke bench-regression soak clean
 
 all: verify
 
@@ -26,11 +26,6 @@ race:
 tier1.5: vet race
 
 verify: tier1 tier1.5
-
-# Before/after concurrent-throughput comparison (cross-request ECALL
-# batching on vs off, calibrated SGX costs).
-bench-serving:
-	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentServing' -benchtime 3x .
 
 # Regenerates the checked-in BENCH_PR*.json snapshots that bench-regression
 # diffs against.

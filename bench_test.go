@@ -819,15 +819,14 @@ func BenchmarkSIMDBatchInference64(b *testing.B) {
 	}
 }
 
-// --- Concurrent serving (cross-request ECALL batching) ---
+// --- Concurrent serving ---
 
 // benchmarkConcurrentServing pushes `clients` simultaneous inferences
 // through a serving pipeline per iteration, under calibrated SGX costs.
-// With batching enabled, non-linear ECALLs from different in-flight
-// requests coalesce into shared enclave transitions; the reported
-// transitions/inference metric is the before/after comparison (Fig. 8's
-// amortization, extended across requests).
-func benchmarkConcurrentServing(b *testing.B, clients int, batching bool) {
+// Each request runs its own scalar pass and crosses the boundary once per
+// enclave layer (Fig. 8's per-layer batching); transitions/inference
+// reports that count.
+func benchmarkConcurrentServing(b *testing.B, clients int) {
 	q, err := ring.GenerateNTTPrime(46, 1024)
 	if err != nil {
 		b.Fatal(err)
@@ -852,7 +851,7 @@ func benchmarkConcurrentServing(b *testing.B, clients int, batching bool) {
 		&nn.Flatten{},
 		nn.NewFullyConnected(2*3*3, 4, rng),
 	)
-	// SGXDiv pooling keeps both non-linear layers on batchable ops.
+	// SGXDiv pooling keeps both non-linear layers element-wise ops.
 	cfg := core.Config{PixelScale: 63, WeightScale: 16, ActScale: 256, Pool: core.PoolSGXDiv}
 	engine, err := core.NewEngine(svc, model,
 		core.WithScales(cfg.PixelScale, cfg.WeightScale, cfg.ActScale), core.WithPoolStrategy(cfg.Pool))
@@ -883,15 +882,10 @@ func benchmarkConcurrentServing(b *testing.B, clients int, batching bool) {
 			b.Fatal(err)
 		}
 	}
-	popts := []serve.Option{
+	p := serve.NewService(engine, svc,
 		serve.WithSchedulerConfig(serve.SchedulerConfig{Workers: clients, QueueDepth: clients}),
-		serve.WithBatcherConfig(serve.BatcherConfig{MaxBatch: 1 << 14, Window: 5 * time.Millisecond}),
-		serve.WithoutLanes(), // scalar passes: this benchmark isolates ECALL batching
-	}
-	if !batching {
-		popts = append(popts, serve.WithoutBatching())
-	}
-	p := serve.NewService(engine, svc, popts...)
+		serve.WithoutLanes(), // scalar passes: one engine pass per request
+	)
 	defer p.Close()
 
 	before := platform.Snapshot()
@@ -945,7 +939,7 @@ func buildLaneServingStack(b *testing.B, clients int, opts ...serve.Option) (*se
 		nn.NewFullyConnected(6*5*5, 10, rng),
 	)
 	cfg := core.DefaultConfig()
-	// SGXDiv pooling keeps both non-linear layers on batchable enclave ops.
+	// SGXDiv pooling keeps both non-linear layers element-wise enclave ops.
 	cfg.Pool = core.PoolSGXDiv
 	engine, err := core.NewEngine(svc, model, core.WithPoolStrategy(core.PoolSGXDiv))
 	if err != nil {
@@ -1038,11 +1032,8 @@ func BenchmarkLaneServing64(b *testing.B) {
 	}
 }
 
-func BenchmarkConcurrentServing8Direct(b *testing.B)   { benchmarkConcurrentServing(b, 8, false) }
-func BenchmarkConcurrentServing8Batched(b *testing.B)  { benchmarkConcurrentServing(b, 8, true) }
-func BenchmarkConcurrentServing32Direct(b *testing.B)  { benchmarkConcurrentServing(b, 32, false) }
-func BenchmarkConcurrentServing32Batched(b *testing.B) { benchmarkConcurrentServing(b, 32, true) }
-func BenchmarkConcurrentServing64Batched(b *testing.B) { benchmarkConcurrentServing(b, 64, true) }
+func BenchmarkConcurrentServing8Direct(b *testing.B)  { benchmarkConcurrentServing(b, 8) }
+func BenchmarkConcurrentServing32Direct(b *testing.B) { benchmarkConcurrentServing(b, 32) }
 
 // --- Wire serialization ---
 

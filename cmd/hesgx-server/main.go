@@ -1,14 +1,13 @@
 // Command hesgx-server runs the CAV edge server of §VII: it launches the
 // (simulated) SGX inference enclave, generates HE keys inside it, loads the
 // trained CNN, and serves attestation and encrypted-inference requests over
-// TCP through the concurrent serving pipeline (bounded admission queue,
-// worker pool, cross-request ECALL batching).
+// TCP through the concurrent serving pipeline (slot-lane packing, bounded
+// admission queue, worker pool).
 //
 // Usage:
 //
 //	hesgx-server -model model.bin [-addr :7700] [-calibrated]
 //	             [-workers N] [-queue N] [-deadline 2s]
-//	             [-batch-window 2ms] [-batch-max 256] [-no-batching]
 //	             [-simd-params] [-packed-conv]
 //	             [-lane-window 5ms] [-lane-max 64]
 //	             [-lane-min 2] [-no-lanes]
@@ -84,9 +83,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "concurrent inference workers (0: NumCPU)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth; full queue sheds load (0: default 64)")
 	deadline := flag.Duration("deadline", 0, "per-request serving deadline (0: none)")
-	batchWindow := flag.Duration("batch-window", 0, "cross-request ECALL batching window (0: default 2ms)")
-	batchMax := flag.Int("batch-max", 0, "max ciphertexts per batched ECALL (0: default 256)")
-	noBatching := flag.Bool("no-batching", false, "disable cross-request ECALL batching")
 	simdParams := flag.Bool("simd-params", false, "use a batching-capable parameter set (prime t ≡ 1 mod 2n); required for slot-lane packing")
 	packedConv := flag.Bool("packed-conv", false, "plan the conv→act→pool prefix over one-ciphertext slot-packed feature maps (needs -simd-params)")
 	laneWindow := flag.Duration("lane-window", 0, "slot-lane packing window: how long a request waits for lane company (0: default 5ms)")
@@ -96,9 +92,7 @@ func run() int {
 	statsInterval := flag.Duration("stats-interval", 30*time.Second, "serving-stats log interval (0: off)")
 	adminAddr := flag.String("admin", "", "admin endpoint address for /metrics, /debug/pprof, /traces/last, /inference/last, /healthz (empty: off)")
 	traceRing := flag.Int("trace-ring", trace.DefaultBufferSize, "flight-recorder capacity: request traces retained for /traces/last")
-	flag.IntVar(traceRing, "trace-buffer", trace.DefaultBufferSize, "deprecated alias of -trace-ring")
 	reportRing := flag.Int("report-ring", report.DefaultCapacity, "report-ring capacity: per-request flight reports retained for /inference/last")
-	flag.IntVar(reportRing, "report-buffer", report.DefaultCapacity, "deprecated alias of -report-ring")
 	sloSpec := flag.String("slo", "", "per-stage latency objectives as name:metric:threshold:target,... (empty: defaults; \"off\": disabled)")
 	diagDir := flag.String("diag-dir", "", "directory receiving anomaly-triggered postmortem bundles (empty: triggered captures off; /debug/bundle still serves on-demand)")
 	flag.Parse()
@@ -207,10 +201,6 @@ func run() int {
 			QueueDepth: *queueDepth,
 			Deadline:   *deadline,
 		}),
-		serve.WithBatcherConfig(serve.BatcherConfig{
-			MaxBatch: *batchMax,
-			Window:   *batchWindow,
-		}),
 		serve.WithLaneConfig(serve.LaneConfig{
 			MaxLanes: *laneMax,
 			MinLanes: *laneMin,
@@ -219,9 +209,6 @@ func run() int {
 		serve.WithTracer(trace.NewTracer(*traceRing)),
 		serve.WithLogger(logger),
 		serve.WithMetrics(reg),
-	}
-	if *noBatching {
-		serviceOpts = append(serviceOpts, serve.WithoutBatching())
 	}
 	if *noLanes {
 		serviceOpts = append(serviceOpts, serve.WithoutLanes())
@@ -312,7 +299,6 @@ func run() int {
 		"enclave", svc.Enclave().Name(),
 		"measurement", fmt.Sprintf("%x", m[:8]),
 		"params", params.String(),
-		"batching", !*noBatching,
 	)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

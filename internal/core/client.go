@@ -199,11 +199,6 @@ type CipherImage struct {
 	Packed bool
 }
 
-// At returns the ciphertext at (c, y, x).
-func (im *CipherImage) At(c, y, x int) *he.Ciphertext {
-	return im.CTs[(c*im.Height+y)*im.Width+x]
-}
-
 // encryptImageScalar is the scalar (pixel-per-ciphertext) encoding path
 // behind EncryptImages for a single image.
 func (c *Client) encryptImageScalar(img *nn.Tensor, pixelScale uint64) (*CipherImage, error) {

@@ -48,15 +48,11 @@ const (
 // planned act+pool pair shares one ECALL; a smaller map keeps the two-call
 // sequence. One rule for every layout: a scalar or lane map holds one value
 // per ciphertext, a slot-packed map c·h·w values in c ciphertexts. It is
-// scope, not a crossover: the arithmetic favours fusing at every size. The
-// floor sits where the serving batcher
-// (serve.DefaultBatcherConfig().MaxBatch) stops coalescing element-wise
-// activation batches across concurrent requests and routes them direct, so
-// fusing a scalar map at or above it forfeits nothing the batcher would have
-// shared, while below it the activation stays the batchable call the serving
-// tests and the benchmark's toy-model trace (a core.enclave.sigmoid span on a
-// 72-value map, on the packed workloads too) expect under the default plan.
-// Remove it when the benchmark test may change.
+// scope, not a crossover: the arithmetic favours fusing at every size. Its
+// one remaining reason is the benchmark's toy-model trace test, which
+// expects a core.enclave.sigmoid span on a 72-value map (on the packed
+// workloads too) under the default plan. Remove it when the benchmark test
+// may change.
 const fusedStageMinValues = 256
 
 // PoolCrossoverWindow is the window size at which SGXDiv overtakes SGXPool
@@ -217,8 +213,8 @@ type HybridEngine struct {
 	scalar *encoding.ScalarEncoder
 	svc    *EnclaveService
 
-	// caller routes enclave non-linear layers; defaults to svc. A serving
-	// pipeline swaps in a batching proxy before traffic starts.
+	// caller routes enclave non-linear layers; defaults to svc. Tests and
+	// the benchmark's traced run swap in a recording wrapper.
 	caller NonlinearCaller
 
 	// metrics, when set, receives per-layer latency samples.
@@ -487,9 +483,10 @@ func (e *HybridEngine) poolStrategyFor(p *nn.Pool2D) PoolStrategy {
 func (e *HybridEngine) OutScale() float64 { return e.outScale }
 
 // SetNonlinearCaller routes the engine's enclave non-linear layers through
-// c instead of calling the enclave service directly — the hook the serving
-// pipeline uses to interpose cross-request ECALL batching. Call it before
-// serving traffic; it is not safe to swap mid-inference.
+// c instead of calling the enclave service directly (nil restores the
+// service) — the hook tests and the benchmark's traced run use to record
+// the ECALLs an inference makes. Call it before serving traffic; it is not
+// safe to swap mid-inference.
 func (e *HybridEngine) SetNonlinearCaller(c NonlinearCaller) {
 	if c == nil {
 		c = e.svc
@@ -816,7 +813,7 @@ func (e *HybridEngine) runActivation(ctx context.Context, s *planStep, in []*he.
 		OutScale: e.cfg.ActScale,
 		// Carrying the kind in the op (rather than mutating enclave state
 		// with SetActivation) keeps concurrent inferences with different
-		// activations independent — and lets a batching proxy key on it.
+		// activations independent.
 		Act: int(s.act),
 	}
 	if s.act == nn.Sigmoid {

@@ -29,12 +29,6 @@ func WithSIMD(on bool) EngineOption {
 	return func(c *Config) { c.SIMD = on }
 }
 
-// WithEngineWorkers parallelizes the homomorphic linear layers: 0 or 1 =
-// sequential, -1 = one worker per CPU, n > 1 = exactly n.
-func WithEngineWorkers(n int) EngineOption {
-	return func(c *Config) { c.Workers = n }
-}
-
 // WithSingleECalls switches activation calls to one ECALL per value — the
 // EncryptSGX(single) control group of Fig. 8.
 func WithSingleECalls(on bool) EngineOption {

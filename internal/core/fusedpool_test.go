@@ -254,7 +254,7 @@ func TestFusionOnlyWhereThePlanSaysSo(t *testing.T) {
 	})
 	t.Run("map under the floor", func(t *testing.T) {
 		// tinyCNN's 2×6×6 map is 72 ciphertexts: planned as a pair, run
-		// as two calls, the first one the batchable activation.
+		// as two calls, the first one the element-wise activation.
 		small := tinyImage(3)
 		sci, err := s.client.EncryptImages([]*nn.Tensor{small}, 63)
 		if err != nil {

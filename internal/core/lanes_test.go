@@ -88,9 +88,6 @@ func TestLaneOpValidation(t *testing.T) {
 	if OpLanePack.String() != "lane_pack" || OpLaneDemux.String() != "lane_demux" {
 		t.Fatal("lane op kind names changed")
 	}
-	if (NonlinearOp{Kind: OpLanePack, Lanes: 2}).Batchable() || (NonlinearOp{Kind: OpLaneDemux, Lanes: 2}).Batchable() {
-		t.Fatal("lane repack ops must not ride cross-request batches")
-	}
 }
 
 // TestLanePackDemuxRoundTrip drives the two repack ECALLs directly: k

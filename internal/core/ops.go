@@ -126,10 +126,9 @@ type Geometry struct {
 	Window int
 }
 
-// NonlinearOp fully describes one enclave non-linear call. It is a plain
-// comparable value: two in-flight requests whose ops compare equal compute
-// the same function, so their ciphertext batches can share one enclave
-// transition (the cross-request batching the serve package implements).
+// NonlinearOp fully describes one enclave non-linear call: every
+// ciphertext of the batch it travels with shares one enclave transition
+// (the paper's per-layer ECALL batching, §VIII).
 type NonlinearOp struct {
 	Kind OpKind
 	// SIMD selects slot-packed operation over every CRT slot (§VIII).
@@ -244,19 +243,6 @@ func (op NonlinearOp) Validate() error {
 	return nil
 }
 
-// Batchable reports whether batches from different requests may be
-// concatenated into one ECALL carrying this op. Element-wise ops qualify;
-// whole-map pooling does not, because the enclave validates the batch
-// length against the geometry and the output depends on element positions.
-func (op NonlinearOp) Batchable() bool {
-	switch op.Kind {
-	case OpSigmoid, OpActivation, OpPoolDivide, OpRefresh:
-		return true
-	default:
-		return false
-	}
-}
-
 // request builds the boundary message for the op over an encoded batch.
 func (op NonlinearOp) request(ctBytes []byte) *nonlinearRequest {
 	req := &nonlinearRequest{
@@ -291,9 +277,8 @@ func (op NonlinearOp) request(ctBytes []byte) *nonlinearRequest {
 }
 
 // NonlinearCaller is the interface the engine drives enclave non-linear
-// layers through. *EnclaveService implements it directly; serve.Batcher
-// wraps one to coalesce calls from concurrent inferences into shared
-// enclave transitions.
+// layers through. *EnclaveService implements it; tests and the benchmark's
+// traced run wrap one to record or probe the calls an inference makes.
 type NonlinearCaller interface {
 	Nonlinear(ctx context.Context, op NonlinearOp, cts []*he.Ciphertext) ([]*he.Ciphertext, error)
 }

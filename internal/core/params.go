@@ -24,16 +24,3 @@ func DefaultHybridParameters() (he.Parameters, error) {
 	}
 	return params, nil
 }
-
-// PaperParameters returns the n=1024 tier the paper configured SEAL 2.1
-// with (§V-A). Its noise headroom only supports small plaintext moduli, so
-// it suits the micro-benchmarks (Tables I–V) rather than full CNN
-// inference at high precision — the same tension that drove the paper's
-// t=4 choice.
-func PaperParameters(t uint64) (he.Parameters, error) {
-	params, err := he.DefaultParameters(1024, t)
-	if err != nil {
-		return he.Parameters{}, fmt.Errorf("core: paper parameters: %w", err)
-	}
-	return params, nil
-}

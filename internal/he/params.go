@@ -34,19 +34,6 @@ type Parameters struct {
 	delta uint64
 }
 
-// MulChain returns the RNS basis the multiplier uses for this parameter
-// set: three auxiliary NTT-friendly primes one bit below
-// ring.MaxModulusBits followed by Q itself as the chain's last (rescaling)
-// modulus. The chain derives deterministically from (N, Q), so endpoints
-// never exchange it.
-func (p Parameters) MulChain() ([]uint64, error) {
-	aux, err := ring.GenerateChain(ring.MaxModulusBits-1, p.N, 3, p.Q)
-	if err != nil {
-		return nil, fmt.Errorf("he: mul chain: %w", err)
-	}
-	return append(aux, p.Q), nil
-}
-
 // defaultQBits mirrors SEAL 2.1's ChooserEvaluator::default_parameter_options
 // in spirit: it maps a ring degree to an automatically chosen coefficient
 // modulus size. Values are capped at ring.MaxModulusBits (word-size limbs);

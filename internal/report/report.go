@@ -72,12 +72,8 @@ type Layer struct {
 	ECallComputeMS  float64 `json:"ecall_compute_ms,omitempty"`
 
 	// CtsCrossed counts the ciphertexts this layer's ECALLs carried into
-	// the enclave (0: the layer never crossed). Under shared batches it
-	// covers the whole flushed batch.
+	// the enclave (0: the layer never crossed).
 	CtsCrossed int `json:"cts_crossed,omitempty"`
-	// SharedRequests is the peak occupancy of the cross-request batches
-	// this layer's ECALLs rode in (0: unbatched).
-	SharedRequests int `json:"shared_requests,omitempty"`
 
 	// PredictedBudgetBits is the static noise accountant's conservative
 	// bound: for linear layers the budget of the outputs, for enclave
@@ -237,7 +233,7 @@ func FromTrace(tr *trace.Trace) *FlightReport {
 			}
 		}
 	}
-	// Second pass: fold ECALL and batching spans into their layers. Lane
+	// Second pass: fold ECALL spans into their layers. Lane
 	// repack ECALLs run outside any engine layer (they bracket the whole
 	// packed pass), so they fold into the report's LanePack/LaneDemux stages
 	// instead of climbing to a layer span.
@@ -267,14 +263,6 @@ func FromTrace(tr *trace.Trace) *FlightReport {
 			}
 			if v, ok := argVal(s, "cts"); ok {
 				l.CtsCrossed += int(v)
-			}
-		case s.Name == "batch.wait":
-			id, ok := layerOf(s)
-			if !ok {
-				continue
-			}
-			if v, ok := argVal(s, "shared_requests"); ok && int(v) > layers[id].SharedRequests {
-				layers[id].SharedRequests = int(v)
 			}
 		}
 	}

@@ -29,13 +29,10 @@ func buildTrace(tracer *trace.Tracer) *trace.Trace {
 
 	actx, act := trace.StartSpan(ctx, "layer.act", "engine")
 	act.Arg("step", 1).Arg("cts_in", 25).Arg("pred_budget_bits", 10.25)
-	bctx, bw := trace.StartSpan(actx, "batch.wait", "serve")
-	bw.Arg("shared_requests", 3)
-	_, ec := trace.StartSpan(bctx, "ecall.sigmoid", "sgx")
+	_, ec := trace.StartSpan(actx, "ecall.sigmoid", "sgx")
 	ec.Arg("cts", 25).Arg("transitions", 2).Arg("page_faults", 7).
 		Arg("overhead_ms", 1.5).Arg("compute_ms", 0.5)
 	ec.End()
-	bw.End()
 	act.Arg("cts_out", 25).End()
 
 	_, enc := trace.StartSpan(ctx, "wire.encode", "wire")
@@ -74,7 +71,7 @@ func TestFromTrace(t *testing.T) {
 	if act.Kind != "act" || act.Label != "01_act" {
 		t.Errorf("act layer mismatch: %+v", act)
 	}
-	if act.Transitions != 2 || act.PageFaults != 7 || act.SharedRequests != 3 {
+	if act.Transitions != 2 || act.PageFaults != 7 {
 		t.Errorf("ecall attribution mismatch: %+v", act)
 	}
 	if act.CtsCrossed != 25 {

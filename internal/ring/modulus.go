@@ -78,11 +78,6 @@ func (m Modulus) Neg(a uint64) uint64 {
 	return m.Q - a
 }
 
-// Reduce maps an arbitrary uint64 into [0, q).
-func (m Modulus) Reduce(a uint64) uint64 {
-	return a % m.Q
-}
-
 // Mul returns a*b mod q using Barrett reduction of the 128-bit product.
 func (m Modulus) Mul(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)

@@ -180,14 +180,6 @@ func (r *Ring) Neg(a, out Poly) {
 	}
 }
 
-// AddScalar sets out = a + c (constant term only is wrong for ring addition
-// of a scalar embedding; the scalar is added to every slot's constant, i.e.
-// only coefficient 0).
-func (r *Ring) AddScalar(a Poly, c uint64, out Poly) {
-	a.CopyTo(out)
-	out.Coeffs[0] = r.Mod.Add(a.Coeffs[0], c%r.Mod.Q)
-}
-
 // MulScalar sets out = c * a.
 func (r *Ring) MulScalar(a Poly, c uint64, out Poly) {
 	mod := r.Mod

@@ -131,7 +131,7 @@ func TestServiceLanePackedMatchesScalar(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.Infer(context.Background(), Request{Image: cis[i], Tenant: "cav"})
+			results[i], errs[i] = s.Infer(context.Background(), Request{Image: cis[i]})
 		}(i)
 	}
 	wg.Wait()
@@ -158,9 +158,6 @@ func TestServiceLanePackedMatchesScalar(t *testing.T) {
 	}
 	if packed := s.Metrics.Counter("serve.lanes.packed_requests").Value(); packed != k {
 		t.Fatalf("serve.lanes.packed_requests = %d, want %d", packed, k)
-	}
-	if s.Metrics.Counter("serve.tenant.cav.requests").Value() != k {
-		t.Fatal("tenant counter mismatch")
 	}
 }
 

@@ -32,8 +32,8 @@ type InferBackend interface {
 // SchedulerConfig tunes the serving scheduler.
 type SchedulerConfig struct {
 	// Workers is the number of concurrent inferences (default NumCPU).
-	// More workers give the batching proxy more coalescing opportunities;
-	// past the point where the enclave saturates they only add contention.
+	// Past the point where the CPUs or the enclave saturate, more workers
+	// only add contention.
 	Workers int
 	// QueueDepth bounds jobs waiting for a worker (default 64). A full
 	// queue rejects new jobs with ErrQueueFull — load sheds at admission
@@ -73,9 +73,7 @@ type job struct {
 }
 
 // Scheduler admits inference jobs through a bounded queue and runs them on
-// a fixed worker pool. Combined with a Batcher on the engine's enclave
-// path, concurrent jobs reaching the same non-linear layer share enclave
-// transitions.
+// a fixed worker pool; each job is one engine pass with its own ECALLs.
 type Scheduler struct {
 	backend  InferBackend
 	queue    chan *job

@@ -10,17 +10,14 @@
 //	            Scheduler (bounded queue, worker pool, deadlines)
 //	                   │ engine.InferContext per job
 //	                   ▼
-//	            core.HybridEngine ──► Batcher (cross-request ECALL coalescing)
-//	                                     │ one shared transition per flush
-//	                                     ▼
-//	                              core.EnclaveService ──► sgx.Enclave
+//	            core.HybridEngine ──► core.EnclaveService ──► sgx.Enclave
 //
 // The paper's central performance result (§VIII, Fig. 8) is that batching
 // ciphertexts per enclave transition amortizes the ~1 ms ECALL cost. The
-// seed repo only batched within one inference; under N concurrent clients
-// the enclave still paid N transitions per non-linear layer. This package
-// closes that gap: the Scheduler bounds concurrency and sheds load at
-// admission, and the Batcher merges same-op non-linear calls from
-// different in-flight inferences into shared ECALLs, so transitions per
-// inference fall as concurrency rises.
+// engine does that within one inference: every enclave layer sends all of
+// its ciphertexts in one ECALL, and the paper CNN crosses the boundary once
+// per request. This package bounds concurrency and sheds load at admission
+// (the Scheduler) and, on batching-capable parameters, packs concurrent
+// scalar requests into the CRT slot lanes of one shared engine pass (the
+// lane packer), so one pass and its ECALLs serve several requests.
 package serve

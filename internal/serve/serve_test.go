@@ -19,192 +19,6 @@ import (
 	"hesgx/internal/stats"
 )
 
-// --- Batcher unit tests over a fake caller ---
-
-// fakeCaller records underlying Nonlinear invocations and echoes inputs.
-type fakeCaller struct {
-	mu    sync.Mutex
-	calls []int // batch sizes, in call order
-	err   error
-	delay time.Duration
-}
-
-func (f *fakeCaller) Nonlinear(ctx context.Context, op core.NonlinearOp, cts []*he.Ciphertext) ([]*he.Ciphertext, error) {
-	if f.delay > 0 {
-		time.Sleep(f.delay)
-	}
-	f.mu.Lock()
-	f.calls = append(f.calls, len(cts))
-	f.mu.Unlock()
-	if f.err != nil {
-		return nil, f.err
-	}
-	out := make([]*he.Ciphertext, len(cts))
-	copy(out, cts)
-	return out, nil
-}
-
-func (f *fakeCaller) callCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
-}
-
-func dummyCTs(n int) []*he.Ciphertext {
-	out := make([]*he.Ciphertext, n)
-	for i := range out {
-		out[i] = &he.Ciphertext{}
-	}
-	return out
-}
-
-func TestBatcherCoalescesConcurrentCalls(t *testing.T) {
-	fake := &fakeCaller{}
-	reg := stats.NewRegistry()
-	// 4 callers × 2 cts fill MaxBatch exactly; the last arrival flushes.
-	b := NewBatcher(fake, BatcherConfig{MaxBatch: 8, Window: time.Minute, Metrics: reg})
-	defer b.Close()
-	op := core.NonlinearOp{Kind: core.OpSigmoid, InScale: 2, OutScale: 2}
-
-	var wg sync.WaitGroup
-	results := make([][]*he.Ciphertext, 4)
-	inputs := make([][]*he.Ciphertext, 4)
-	for i := 0; i < 4; i++ {
-		inputs[i] = dummyCTs(2)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := b.Nonlinear(context.Background(), op, inputs[i])
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			results[i] = out
-		}(i)
-	}
-	wg.Wait()
-
-	if got := fake.callCount(); got != 1 {
-		t.Fatalf("underlying called %d times, want 1", got)
-	}
-	if fake.calls[0] != 8 {
-		t.Fatalf("coalesced batch size %d, want 8", fake.calls[0])
-	}
-	// Each caller must get exactly its own ciphertexts back, in order.
-	for i := range results {
-		if len(results[i]) != 2 {
-			t.Fatalf("caller %d got %d cts", i, len(results[i]))
-		}
-		for j := range results[i] {
-			if results[i][j] != inputs[i][j] {
-				t.Fatalf("caller %d result %d demultiplexed wrong ciphertext", i, j)
-			}
-		}
-	}
-	if saved := reg.Counter("serve.ecalls.saved").Value(); saved != 3 {
-		t.Fatalf("ecalls.saved = %d, want 3", saved)
-	}
-}
-
-func TestBatcherWindowFlushesLoneCall(t *testing.T) {
-	fake := &fakeCaller{}
-	b := NewBatcher(fake, BatcherConfig{MaxBatch: 1 << 20, Window: 5 * time.Millisecond})
-	defer b.Close()
-	op := core.NonlinearOp{Kind: core.OpRefresh}
-	start := time.Now()
-	out, err := b.Nonlinear(context.Background(), op, dummyCTs(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d cts", len(out))
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("lone call waited %v for a window of 5ms", waited)
-	}
-	if fake.callCount() != 1 {
-		t.Fatalf("underlying called %d times", fake.callCount())
-	}
-}
-
-func TestBatcherKeepsDistinctOpsApart(t *testing.T) {
-	fake := &fakeCaller{}
-	b := NewBatcher(fake, BatcherConfig{MaxBatch: 4, Window: 5 * time.Millisecond})
-	defer b.Close()
-	var wg sync.WaitGroup
-	for _, divisor := range []uint64{4, 9} {
-		wg.Add(1)
-		go func(d uint64) {
-			defer wg.Done()
-			op := core.NonlinearOp{Kind: core.OpPoolDivide, Divisor: d}
-			if _, err := b.Nonlinear(context.Background(), op, dummyCTs(2)); err != nil {
-				t.Error(err)
-			}
-		}(divisor)
-	}
-	wg.Wait()
-	// Different divisors compute different functions: two flushes.
-	if got := fake.callCount(); got != 2 {
-		t.Fatalf("underlying called %d times, want 2", got)
-	}
-}
-
-func TestBatcherPassesThroughNonBatchableOps(t *testing.T) {
-	fake := &fakeCaller{}
-	b := NewBatcher(fake, BatcherConfig{MaxBatch: 1 << 20, Window: time.Minute})
-	defer b.Close()
-	op := core.NonlinearOp{Kind: core.OpPoolMax, Geometry: core.Geometry{Channels: 1, Height: 2, Width: 2, Window: 2}}
-	if _, err := b.Nonlinear(context.Background(), op, dummyCTs(4)); err != nil {
-		t.Fatal(err)
-	}
-	// A minute-long window would have hung a batched call; pass-through
-	// returns immediately.
-	if fake.callCount() != 1 {
-		t.Fatalf("underlying called %d times", fake.callCount())
-	}
-}
-
-func TestBatcherPropagatesErrorsToAllWaiters(t *testing.T) {
-	boom := errors.New("enclave on fire")
-	fake := &fakeCaller{err: boom}
-	b := NewBatcher(fake, BatcherConfig{MaxBatch: 4, Window: time.Minute})
-	defer b.Close()
-	op := core.NonlinearOp{Kind: core.OpSigmoid, InScale: 1, OutScale: 1}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := b.Nonlinear(context.Background(), op, dummyCTs(2)); !errors.Is(err, boom) {
-				t.Errorf("got %v, want underlying error", err)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestBatcherHonoursCallerCancellation(t *testing.T) {
-	fake := &fakeCaller{}
-	b := NewBatcher(fake, BatcherConfig{MaxBatch: 1 << 20, Window: time.Minute})
-	defer b.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Nonlinear(ctx, core.NonlinearOp{Kind: core.OpRefresh}, dummyCTs(1))
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled caller still blocked")
-	}
-}
-
 // --- Scheduler unit tests over a fake backend ---
 
 // fakeBackend blocks every inference until released.
@@ -332,8 +146,8 @@ type stack struct {
 }
 
 func serveConfig() core.Config {
-	// SGXDiv pooling keeps every enclave call on a batchable op, the
-	// configuration the cross-request amortization targets.
+	// SGXDiv pooling pins the paper's two-ECALL pipeline (sigmoid, then
+	// pool-divide) instead of the planner's fused whole-map call.
 	return core.Config{PixelScale: 63, WeightScale: 16, ActScale: 256, Pool: core.PoolSGXDiv}
 }
 
@@ -449,42 +263,30 @@ func runConcurrent(t *testing.T, st *stack, s *Service, n int) uint64 {
 	return st.platform.Snapshot().Sub(before).Transitions()
 }
 
+// TestPipelineBatchingReducesTransitions pins the paper's per-layer ECALL
+// batching (§VIII) under concurrency: n requests served at once, each in
+// its own scalar pass, every logit equal to the plaintext reference, and
+// each request crossing the boundary exactly once per enclave layer however
+// many ciphertexts the layer carries — 2n transitions for the model's two
+// enclave layers (sigmoid, pool-divide), with nothing shared or lost
+// between requests.
 func TestPipelineBatchingReducesTransitions(t *testing.T) {
 	const n = 8
 
-	direct := newStack(t, 41)
-	pDirect := NewService(direct.engine, direct.svc,
+	st := newStack(t, 41)
+	p := NewService(st.engine, st.svc,
 		WithSchedulerConfig(SchedulerConfig{Workers: n, QueueDepth: n}),
-		WithoutBatching(),
-		WithoutLanes(), // scalar passes: the ECALL-amortization property under test
+		WithoutLanes(), // scalar passes: one engine pass per request
 	)
-	directTransitions := runConcurrent(t, direct, pDirect, n)
-	pDirect.Close()
+	transitions := runConcurrent(t, st, p, n)
+	p.Close()
 
-	batched := newStack(t, 42)
-	pBatched := NewService(batched.engine, batched.svc,
-		WithSchedulerConfig(SchedulerConfig{Workers: n, QueueDepth: n}),
-		// A generous window so even a slow CI box coalesces all n jobs.
-		WithBatcherConfig(BatcherConfig{MaxBatch: 1 << 14, Window: 100 * time.Millisecond}),
-		WithoutLanes(),
-	)
-	batchedTransitions := runConcurrent(t, batched, pBatched, n)
-	pBatched.Close()
-
-	// The model has two enclave layers (sigmoid, pool-divide): direct mode
-	// pays 2n transitions; cross-request batching must pay fewer.
-	t.Logf("transitions for %d concurrent inferences: direct=%d batched=%d", n, directTransitions, batchedTransitions)
-	if directTransitions != 2*n {
-		t.Fatalf("direct mode made %d transitions, want %d", directTransitions, 2*n)
+	t.Logf("transitions for %d concurrent inferences: %d", n, transitions)
+	if transitions != 2*n {
+		t.Fatalf("%d concurrent inferences made %d transitions, want %d", n, transitions, 2*n)
 	}
-	if batchedTransitions >= directTransitions {
-		t.Fatalf("batching did not amortize: %d >= %d transitions", batchedTransitions, directTransitions)
-	}
-	if saved := pBatched.Metrics.Counter("serve.ecalls.saved").Value(); saved <= 0 {
-		t.Fatalf("ecalls.saved = %d, want > 0", saved)
-	}
-	if pBatched.Metrics.Counter("serve.jobs.completed").Value() != n {
-		t.Fatal("completed-job counter mismatch")
+	if got := p.Metrics.Counter("serve.jobs.completed").Value(); got != n {
+		t.Fatalf("serve.jobs.completed = %d, want %d", got, n)
 	}
 }
 
@@ -492,11 +294,9 @@ func TestPipelineSequentialStillCorrect(t *testing.T) {
 	st := newStack(t, 43)
 	p := NewService(st.engine, st.svc,
 		WithSchedulerConfig(SchedulerConfig{Workers: 2, QueueDepth: 4}),
-		WithBatcherConfig(BatcherConfig{Window: 2 * time.Millisecond}),
 		WithoutLanes(),
 	)
 	defer p.Close()
-	// One at a time: every batch flushes on the window with occupancy 1.
 	for i := 0; i < 3; i++ {
 		img := testImage(uint64(200 + i))
 		ci, err := st.client.EncryptImages([]*nn.Tensor{img}, serveConfig().PixelScale)

@@ -16,31 +16,18 @@ import (
 type Option func(*options)
 
 type options struct {
-	scheduler       SchedulerConfig
-	batcher         BatcherConfig
-	disableBatching bool
-	lanes           LaneConfig
-	disableLanes    bool
-	metrics         *stats.Registry
-	tracer          *trace.Tracer
-	logger          *slog.Logger
+	scheduler    SchedulerConfig
+	lanes        LaneConfig
+	disableLanes bool
+	metrics      *stats.Registry
+	tracer       *trace.Tracer
+	logger       *slog.Logger
 }
 
 // WithSchedulerConfig tunes the admission scheduler (workers, queue depth,
 // default deadline).
 func WithSchedulerConfig(cfg SchedulerConfig) Option {
 	return func(o *options) { o.scheduler = cfg }
-}
-
-// WithBatcherConfig tunes the cross-request ECALL batching proxy.
-func WithBatcherConfig(cfg BatcherConfig) Option {
-	return func(o *options) { o.batcher = cfg }
-}
-
-// WithoutBatching runs the scheduler without the cross-request batching
-// proxy (the ablation/control configuration).
-func WithoutBatching() Option {
-	return func(o *options) { o.disableBatching = true }
 }
 
 // WithLaneConfig tunes the slot-lane packing admission stage.
@@ -101,8 +88,6 @@ type Request struct {
 	// (Image.Lanes > 1, from Client.EncryptImages) bypasses the packer and
 	// runs one engine pass carrying the caller's own lanes.
 	Image *core.CipherImage
-	// Tenant optionally attributes the request in per-tenant metrics.
-	Tenant string
 	// Deadline optionally bounds the whole serving path (queue wait
 	// included). Zero means the scheduler's default deadline applies.
 	Deadline time.Time
@@ -138,12 +123,10 @@ type Result struct {
 }
 
 // Service is the serving surface of the edge server: one Infer entrypoint
-// over the full stack — lane packer, admission scheduler, cross-request
-// ECALL batcher, hybrid engine, enclave. Construction wires the stages;
-// options tune them.
+// over the full stack — lane packer, admission scheduler, hybrid engine,
+// enclave. Construction wires the stages; options tune them.
 type Service struct {
 	sched   *Scheduler
-	batcher *Batcher    // nil when batching is disabled
 	lanes   *lanePacker // nil when lanes are disabled or unsupported
 	Metrics *stats.Registry
 	Tracer  *trace.Tracer
@@ -152,15 +135,14 @@ type Service struct {
 
 // NewService wires engine and its enclave service into a serving stack:
 // per-layer engine metrics and spans, per-ECALL cost attribution, the
-// batching proxy on the engine's enclave path, the admission scheduler,
-// and — when the parameter set supports CRT slot batching — the lane
-// packer that merges concurrent scalar requests into shared slot-packed
-// engine passes. With a non-batching plaintext modulus the lane stage
-// disables itself and every request runs scalar, so one construction works
-// across parameter tiers. The engine must not serve traffic through other
-// paths afterwards — the service re-routes its non-linear calls.
+// admission scheduler, and — when the parameter set supports CRT slot
+// batching — the lane packer that merges concurrent scalar requests into
+// shared slot-packed engine passes. With a non-batching plaintext modulus
+// the lane stage disables itself and every request runs scalar, so one
+// construction works across parameter tiers. The engine keeps calling the
+// enclave service it was built with; svc must be that service.
 func NewService(engine *core.HybridEngine, svc *core.EnclaveService, opts ...Option) *Service {
-	o := options{scheduler: SchedulerConfig{}, batcher: BatcherConfig{}, lanes: DefaultLaneConfig()}
+	o := options{scheduler: SchedulerConfig{}, lanes: DefaultLaneConfig()}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -179,15 +161,6 @@ func NewService(engine *core.HybridEngine, svc *core.EnclaveService, opts ...Opt
 	engine.SetMetrics(reg)
 	svc.SetMetrics(reg)
 	s := &Service{Metrics: reg, Tracer: tracer, logger: logger}
-	if !o.disableBatching {
-		bcfg := o.batcher
-		bcfg.Metrics = reg
-		bcfg.Logger = o.logger
-		s.batcher = NewBatcher(svc, bcfg)
-		engine.SetNonlinearCaller(s.batcher)
-	} else {
-		engine.SetNonlinearCaller(svc)
-	}
 	scfg := o.scheduler
 	scfg.Metrics = reg
 	scfg.Logger = o.logger
@@ -252,9 +225,6 @@ func (s *Service) Infer(ctx context.Context, req Request) (res *Result, err erro
 				float64(time.Since(start).Microseconds())/1000.0, trace.ID(ctx))
 		}
 	}()
-	if req.Tenant != "" {
-		s.Metrics.Counter("serve.tenant." + req.Tenant + ".requests").Inc()
-	}
 	if !req.Deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, req.Deadline)
@@ -295,14 +265,10 @@ func (s *Service) Infer(ctx context.Context, req Request) (res *Result, err erro
 }
 
 // Close shuts the service down: the lane packer flushes pending buckets,
-// then the scheduler stops admitting and drains, then the batcher flushes
-// any stragglers.
+// then the scheduler stops admitting and drains.
 func (s *Service) Close() {
 	if s.lanes != nil {
 		s.lanes.Close()
 	}
 	s.sched.Close()
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
 }

@@ -91,7 +91,7 @@ func TestTraceSpanTreeMatchesTransitions(t *testing.T) {
 	for i := range spans {
 		names[spans[i].Name]++
 	}
-	for _, want := range []string{"queue.wait", "infer.run", "layer.conv", "layer.act", "batch.wait", "batch.flush"} {
+	for _, want := range []string{"queue.wait", "infer.run", "layer.conv", "layer.act"} {
 		if names[want] == 0 {
 			t.Errorf("no %q span recorded; got %v", want, names)
 		}

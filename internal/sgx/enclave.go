@@ -159,17 +159,12 @@ type CallStats struct {
 // itself plus its OCALLs.
 func (cs CallStats) Transitions() uint64 { return 1 + cs.OCalls }
 
-// ECallContext is ECall with cancellation at the boundary: if ctx is
-// already done the call fails before paying the enclave transition.
-// Trusted code cannot be preempted once entered (real enclaves run ECALLs
-// to completion), so cancellation mid-call is not attempted — the check
-// keeps cancelled requests from queueing new transitions.
-func (e *Enclave) ECallContext(ctx context.Context, name string, input []byte) ([]byte, error) {
-	out, _, err := e.ECallContextStats(ctx, name, input)
-	return out, err
-}
-
-// ECallContextStats is ECallContext returning the call's attributed cost.
+// ECallContextStats is ECall with cancellation at the boundary, returning
+// the call's attributed cost: if ctx is already done the call fails before
+// paying the enclave transition. Trusted code cannot be preempted once
+// entered (real enclaves run ECALLs to completion), so cancellation
+// mid-call is not attempted — the check keeps cancelled requests from
+// queueing new transitions.
 func (e *Enclave) ECallContextStats(ctx context.Context, name string, input []byte) ([]byte, CallStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, CallStats{}, fmt.Errorf("sgx: ECALL %q not entered: %w", name, err)

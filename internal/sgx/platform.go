@@ -40,7 +40,7 @@ type Stats struct {
 }
 
 // Transitions counts enclave boundary crossings (ECALLs + OCALLs) — the
-// resource cross-request batching amortizes.
+// resource per-layer ECALL batching amortizes.
 func (s Stats) Transitions() uint64 { return s.ECalls + s.OCalls }
 
 // Sub returns the accounting delta s - prev, for before/after measurements
@@ -59,14 +59,7 @@ func (s Stats) Sub(prev Stats) Stats {
 type PlatformOption func(*platformConfig)
 
 type platformConfig struct {
-	rng        io.Reader
 	jitterSeed uint64
-}
-
-// WithEntropy overrides the entropy source for key and secret generation
-// (tests use a deterministic reader).
-func WithEntropy(r io.Reader) PlatformOption {
-	return func(c *platformConfig) { c.rng = r }
 }
 
 // WithJitterSeed makes the injected timing jitter deterministic.
@@ -76,7 +69,7 @@ func WithJitterSeed(seed uint64) PlatformOption {
 
 // NewPlatform builds a platform with the given cost model.
 func NewPlatform(cost CostModel, opts ...PlatformOption) (*Platform, error) {
-	cfg := platformConfig{rng: rand.Reader, jitterSeed: 1}
+	cfg := platformConfig{jitterSeed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -84,10 +77,10 @@ func NewPlatform(cost CostModel, opts ...PlatformOption) (*Platform, error) {
 		cost:   cost.normalized(),
 		jitter: mrand.New(mrand.NewPCG(cfg.jitterSeed, cfg.jitterSeed^0xda7a)),
 	}
-	if _, err := io.ReadFull(cfg.rng, p.sealSecret[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, p.sealSecret[:]); err != nil {
 		return nil, fmt.Errorf("sgx: generating platform seal secret: %w", err)
 	}
-	key, err := ecdsa.GenerateKey(elliptic.P256(), cfg.rng)
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("sgx: generating attestation key: %w", err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Lightweight serving metrics: named counters, gauges and streaming
-// samples. The serving pipeline (queue, scheduler, batching proxy, engine)
+// samples. The serving pipeline (lane packer, scheduler, engine, enclave)
 // records into a shared Registry; the server binary logs snapshots. The
 // types are allocation-free on the hot path and safe for concurrent use.
 

@@ -78,7 +78,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("serve.jobs.completed").Add(3)
 	reg.Gauge("serve.queue.depth").Set(2)
-	reg.Observe("serve.batch.occupancy", 5)
+	reg.Observe("serve.lane.occupancy", 5)
 	for _, v := range []float64{0.5, 1.5, 2.5, 200} {
 		reg.ObserveHistogram("engine.layer.conv_ms", v)
 	}
@@ -89,8 +89,8 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE serve_jobs_completed counter\nserve_jobs_completed 3\n",
 		"# TYPE serve_queue_depth gauge\nserve_queue_depth 2\n",
-		"serve_batch_occupancy_count 1\n",
-		"serve_batch_occupancy_sum 5\n",
+		"serve_lane_occupancy_count 1\n",
+		"serve_lane_occupancy_sum 5\n",
 		"# TYPE engine_layer_conv_ms histogram\n",
 		"engine_layer_conv_ms_count 4\n",
 		"engine_layer_conv_ms_sum 204.5\n",

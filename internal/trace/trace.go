@@ -1,6 +1,6 @@
 // Package trace is the serving stack's low-overhead request tracer. Every
 // inference request gets one Trace; the stages it flows through — wire
-// accept, scheduler queue wait, per-layer engine execution, batcher flush,
+// accept, lane flush, scheduler queue wait, per-layer engine execution,
 // the ECALL itself — record Spans into it, forming a tree that decomposes
 // the request's wall-clock the way the paper's §VIII figures decompose
 // inference latency (HE linear time vs. enclave transition cost vs.
@@ -9,8 +9,8 @@
 // Spans attach through the context: With puts a Trace into a context,
 // StartSpan opens a child of the current span and returns a derived
 // context, and Join fans a fresh context out over several requests'
-// traces — the mechanism by which one cross-request batched ECALL is
-// attributed to every request that shared it.
+// traces — the mechanism by which one lane-packed engine pass, and every
+// ECALL in it, is attributed to each request that shared it.
 //
 // Everything is nil-safe: a nil *Tracer starts nil *Traces, a context
 // without a trace yields a nil *SpanHandle, and all methods on nil
@@ -177,8 +177,8 @@ func ID(ctx context.Context) uint64 {
 }
 
 // Join returns a context derived from base that records spans into every
-// trace attached to the given contexts — how one shared batched ECALL is
-// attributed to all the requests waiting on it. Each span lands in each
+// trace attached to the given contexts — how one lane-packed engine pass is
+// attributed to all the requests riding in it. Each span lands in each
 // trace under that trace's own current parent span. Cancellation and
 // values of the joined contexts are NOT inherited; only their trace
 // attachments are.

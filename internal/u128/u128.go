@@ -27,9 +27,6 @@ type Int128 struct {
 	Mag Uint128
 }
 
-// Zero128 is the unsigned zero value.
-var Zero128 = Uint128{}
-
 // FromUint64 widens v to 128 bits.
 func FromUint64(v uint64) Uint128 {
 	return Uint128{Lo: v}

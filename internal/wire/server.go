@@ -41,7 +41,7 @@ func WithService(svc ServiceInferrer) ServerOption {
 }
 
 // WithTracer records one end-to-end trace per inference request — from
-// frame decode through scheduler, engine, batcher and ECALLs back to the
+// frame decode through scheduler, engine and ECALLs back to the
 // reply — into the tracer's ring buffer. Normally the serving pipeline's
 // tracer, so the admin endpoint serves both from one place.
 func WithTracer(t *trace.Tracer) ServerOption {

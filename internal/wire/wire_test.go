@@ -404,14 +404,13 @@ func dialAttested(t *testing.T, addr string, opts ...ClientOption) *Client {
 }
 
 // TestScheduledServerConcurrentClients drives N parallel clients through a
-// pipeline-backed server (bounded queue + cross-request batching) and
-// checks every result against a sequential reference run — decryption is
-// exact, so batched and unbatched serving must agree bit for bit.
+// pipeline-backed server (bounded queue, worker pool) and checks every
+// result against a sequential reference run — decryption is exact, so
+// concurrent and sequential serving must agree bit for bit.
 func TestScheduledServerConcurrentClients(t *testing.T) {
 	const clients = 8
 	addr, _, shutdown := testStackPipeline(t, []serve.Option{
 		serve.WithSchedulerConfig(serve.SchedulerConfig{Workers: clients, QueueDepth: 2 * clients}),
-		serve.WithBatcherConfig(serve.BatcherConfig{MaxBatch: 1 << 14, Window: 20 * time.Millisecond}),
 	})
 	defer shutdown()
 
