@@ -8,10 +8,12 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 
 	"hesgx/internal/attest"
 	"hesgx/internal/encoding"
 	"hesgx/internal/he"
+	"hesgx/internal/linear"
 	"hesgx/internal/nn"
 	"hesgx/internal/ring"
 )
@@ -19,12 +21,17 @@ import (
 // Client is the user side of the framework: it runs the attested key
 // exchange of §IV-A, holds the HE keys afterwards, encrypts query images
 // pixel-by-pixel, and decrypts returned inference results.
+// EncryptImageSeeded spreads the pixels over every core and is safe for
+// concurrent callers; the other encryption methods are not.
 type Client struct {
 	Params he.Parameters
 	sk     *he.SecretKey
 	pk     *he.PublicKey
 	enc    *he.Encryptor
-	senc   *he.SymmetricEncryptor
+	// sencs holds one secret-key encryptor per core, each drawing from its
+	// own stream. A pixel checks one out and puts it back, so no encryptor
+	// (its sampler is single-goroutine) is ever shared.
+	sencs  chan *he.SymmetricEncryptor
 	dec    *he.Decryptor
 	scalar *encoding.ScalarEncoder
 	packed *encoding.PackedEncoder
@@ -144,9 +151,13 @@ func (c *Client) install(params he.Parameters, sk *he.SecretKey, pk *he.PublicKe
 	if err != nil {
 		return err
 	}
-	senc, err := he.NewSymmetricEncryptor(sk, ring.NewCryptoSource())
-	if err != nil {
-		return err
+	sencs := make(chan *he.SymmetricEncryptor, runtime.GOMAXPROCS(0))
+	for range cap(sencs) {
+		senc, err := he.NewSymmetricEncryptor(sk, ring.NewCryptoSource())
+		if err != nil {
+			return err
+		}
+		sencs <- senc
 	}
 	dec, err := he.NewDecryptor(sk)
 	if err != nil {
@@ -156,7 +167,7 @@ func (c *Client) install(params he.Parameters, sk *he.SecretKey, pk *he.PublicKe
 	if err != nil {
 		return err
 	}
-	c.Params, c.sk, c.pk, c.enc, c.senc, c.dec, c.scalar = params, sk, pk, enc, senc, dec, scalar
+	c.Params, c.sk, c.pk, c.enc, c.sencs, c.dec, c.scalar = params, sk, pk, enc, sencs, dec, scalar
 	return nil
 }
 
@@ -228,7 +239,8 @@ func (c *Client) encryptImageScalar(img *nn.Tensor, pixelScale uint64) (*CipherI
 // under the secret key in seed-compressed form: each pixel ships as c0 plus
 // a 32-byte expansion seed instead of two polynomials, roughly halving
 // upload bytes. The client holds the secret key after the attested exchange
-// (§IV-B), so symmetric uploads need no extra trust.
+// (§IV-B), so symmetric uploads need no extra trust. The pixels are
+// encrypted in parallel, one encryptor per core, and land in pixel order.
 func (c *Client) EncryptImageSeeded(img *nn.Tensor, pixelScale uint64) (*SeededCipherImage, error) {
 	if !c.Ready() {
 		return nil, fmt.Errorf("core: client has no keys; complete the key exchange first")
@@ -238,13 +250,19 @@ func (c *Client) EncryptImageSeeded(img *nn.Tensor, pixelScale uint64) (*SeededC
 	}
 	ints := nn.QuantizeImage(img, float64(pixelScale))
 	cts := make([]*he.SeededCiphertext, len(ints))
-	for i, v := range ints {
-		pt := c.scalar.Encode(v)
-		sc, err := c.senc.EncryptSeeded(pt)
+	sencs := c.sencs
+	err := linear.ParallelFor(len(ints), cap(sencs), func(i int) error {
+		senc := <-sencs
+		defer func() { sencs <- senc }()
+		sc, err := senc.EncryptSeeded(c.scalar.Encode(ints[i]))
 		if err != nil {
-			return nil, fmt.Errorf("core: encrypting pixel %d: %w", i, err)
+			return fmt.Errorf("core: encrypting pixel %d: %w", i, err)
 		}
 		cts[i] = sc
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &SeededCipherImage{
 		Channels: img.Shape[0], Height: img.Shape[1], Width: img.Shape[2],

@@ -519,6 +519,34 @@ func BenchmarkNTTForward(b *testing.B) {
 	}
 }
 
+// benchNTT times one transform of a uniform polynomial at degree n over a
+// 56-bit NTT prime, the limb width of the ledger's parameter tiers.
+func benchNTT(b *testing.B, n int, inverse bool) {
+	q, err := GenerateNTTPrime(56, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewRing(n, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := r.NewPoly()
+	NewSampler(r, NewSeededSource(1)).Uniform(p)
+	b.ResetTimer()
+	for range b.N {
+		if inverse {
+			r.INTT(p)
+		} else {
+			r.NTT(p)
+		}
+	}
+}
+
+func BenchmarkNTTForward2048(b *testing.B) { benchNTT(b, 2048, false) }
+func BenchmarkNTTInverse2048(b *testing.B) { benchNTT(b, 2048, true) }
+func BenchmarkNTTForward8192(b *testing.B) { benchNTT(b, 8192, false) }
+func BenchmarkNTTInverse8192(b *testing.B) { benchNTT(b, 8192, true) }
+
 func BenchmarkMulNTT1024(b *testing.B) {
 	q, _ := GenerateNTTPrime(50, 1024)
 	r, err := NewRing(1024, q)

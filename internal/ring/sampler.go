@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	mrand "math/rand/v2"
 )
@@ -33,29 +32,17 @@ type Source interface {
 	Uint64() uint64
 }
 
-// cryptoSource draws from crypto/rand with buffering. The buffer is sized so
-// that encrypting a full polynomial's worth of error terms costs a handful of
-// getrandom calls rather than hundreds.
-type cryptoSource struct {
-	buf [8192]byte
-	off int
-}
-
-func (s *cryptoSource) Uint64() uint64 {
-	if s.off == 0 || s.off+8 > len(s.buf) {
-		if _, err := io.ReadFull(rand.Reader, s.buf[:]); err != nil {
-			// crypto/rand failure is unrecoverable for key material.
-			panic(fmt.Sprintf("ring: crypto/rand unavailable: %v", err))
-		}
-		s.off = 0
+// NewCryptoSource returns a cryptographically secure Source: a ChaCha8
+// stream keyed once with 32 bytes from crypto/rand. Every call yields an
+// independent stream, so concurrent Samplers each take their own.
+func NewCryptoSource() Source {
+	var key [32]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		// crypto/rand failure is unrecoverable for key material.
+		panic(fmt.Sprintf("ring: crypto/rand unavailable: %v", err))
 	}
-	v := binary.LittleEndian.Uint64(s.buf[s.off:])
-	s.off += 8
-	return v
+	return mrand.NewChaCha8(key)
 }
-
-// NewCryptoSource returns a cryptographically secure Source.
-func NewCryptoSource() Source { return &cryptoSource{} }
 
 // NewSeededSource returns a deterministic Source (ChaCha8 keyed by seed) for
 // reproducible tests and benchmarks. It must not be used for real keys.

@@ -147,3 +147,19 @@ func TestSamplerGaussianWordSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestCryptoSourceStreamsDiffer: every NewCryptoSource is keyed afresh from
+// crypto/rand, so two of them never share a stream, and neither is the
+// deterministic test stream.
+func TestCryptoSourceStreamsDiffer(t *testing.T) {
+	words := func(src Source) (w [4]uint64) {
+		for i := range w {
+			w[i] = src.Uint64()
+		}
+		return w
+	}
+	a, b, seeded := words(NewCryptoSource()), words(NewCryptoSource()), words(NewSeededSource(0))
+	if a == b || a == seeded || b == seeded {
+		t.Fatalf("streams repeat: %x, %x, seeded %x", a, b, seeded)
+	}
+}
