@@ -151,7 +151,9 @@ func run() int {
 			plan = append(plan, step.Label)
 		}
 	}
-	logger.Info("hybrid plan", "stages", strings.Join(plan, " "))
+	d0, d1 := engine.ReplyRounding()
+	logger.Info("hybrid plan", "stages", strings.Join(plan, " "),
+		"reply_drop_c0", d0, "reply_drop_c1", d1, "upload_drop_c0", params.SeededDropBits())
 	// Scalar-layout queries fold the map in front of each whole-map pool
 	// ECALL the planner owns: coeff_in values per ciphertext in, and with
 	// coeff_tail one ciphertext out for the FC behind it.

@@ -6,20 +6,23 @@ import (
 	"io"
 
 	"hesgx/internal/he"
+	"hesgx/internal/ring"
 )
 
 // Cipher-image network encoding — the one format a socket carries. A
 // payload opens with a magic word and a flags byte, then the geometry, the
 // fixed-point scale and an element count, followed by that many elements:
 // either seed-compressed symmetric ciphertexts (uploads from the key holder:
-// c0 + 32-byte seed instead of two polynomials) or bit-packed two-polynomial
-// ciphertexts. The fixed-width ciphertext codec (he.Ciphertext.Write,
+// c0, less its he.Parameters.SeededDropBits low bits, + 32-byte seed instead
+// of two polynomials) or bit-packed two-polynomial ciphertexts at full
+// width. The fixed-width ciphertext codec (he.Ciphertext.Write,
 // encodeCiphertextBatch) is the ECALL ABI only and is refused here.
 const (
 	// cipherImageMagicV2 tags a cipher-image payload ("IMG2").
 	cipherImageMagicV2 = uint32(0x32474D49)
-	// ciphertextBatchMagicV2 tags a ciphertext-batch payload ("CTB2").
-	ciphertextBatchMagicV2 = uint32(0x32425443)
+	// ciphertextBatchMagic tags a ciphertext-batch payload ("CTB3": the
+	// header carries the reply's drop counts).
+	ciphertextBatchMagic = uint32(0x33425443)
 )
 
 // Cipher-image flags. A valid header sets exactly one of imgFlagSeeded and
@@ -169,7 +172,7 @@ func MarshalSeededCipherImage(im *SeededCipherImage) ([]byte, error) {
 func CipherImagePackedSize(im *CipherImage) int {
 	n := cipherImageV2HeaderSize
 	for _, ct := range im.CTs {
-		n += ct.PackedSize()
+		n += ct.PackedSize(0, 0)
 	}
 	return n
 }
@@ -192,7 +195,7 @@ func WriteCipherImagePacked(w io.Writer, im *CipherImage) error {
 		if ct == nil {
 			return fmt.Errorf("core: nil ciphertext %d", i)
 		}
-		if err := ct.WritePacked(w); err != nil {
+		if err := ct.WritePacked(w, 0, 0); err != nil {
 			return fmt.Errorf("core: encoding packed ciphertext %d: %w", i, err)
 		}
 	}
@@ -266,22 +269,23 @@ func readCipherImageBody(r *bytes.Reader, flags byte, params he.Parameters) (*Ci
 		}
 		return im.Expand()
 	}
-	cts, err := readPackedCiphertexts(r, count, params)
+	cts, err := readPackedCiphertexts(r, count, params, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	return &CipherImage{Channels: channels, Height: height, Width: width, Scale: scale, Packed: slotPacked, CTs: cts}, nil
 }
 
-// readPackedCiphertexts decodes count packed ciphertexts, refusing counts the
-// remaining payload cannot hold before allocating for them.
-func readPackedCiphertexts(r *bytes.Reader, count uint32, params he.Parameters) ([]*he.Ciphertext, error) {
-	if err := boundElementCount(count, he.MinCiphertextWireSize(params), r.Len()); err != nil {
+// readPackedCiphertexts decodes count packed ciphertexts at drops (d0, d1),
+// refusing counts the remaining payload cannot hold before allocating for
+// them.
+func readPackedCiphertexts(r *bytes.Reader, count uint32, params he.Parameters, d0, d1 int) ([]*he.Ciphertext, error) {
+	if err := boundElementCount(count, he.MinCiphertextWireSize(params, d0, d1), r.Len()); err != nil {
 		return nil, err
 	}
 	cts := make([]*he.Ciphertext, count)
 	for i := range cts {
-		ct, err := he.ReadCiphertextPacked(r, params)
+		ct, err := he.ReadCiphertextPacked(r, params, d0, d1)
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding packed ciphertext %d: %w", i, err)
 		}
@@ -290,24 +294,35 @@ func readPackedCiphertexts(r *bytes.Reader, count uint32, params he.Parameters) 
 	return cts, nil
 }
 
+// ciphertextBatchHeaderSize is [magic u32][flags u8][d0 u8][d1 u8]
+// [count u32].
+const ciphertextBatchHeaderSize = 4 + 1 + 2 + 4
+
 // CiphertextBatchPackedSize returns the exact encoded size of the packed
-// batch format for cts.
-func CiphertextBatchPackedSize(cts []*he.Ciphertext) int {
-	n := 4 + 1 + 4 // magic, flags, count
+// batch format for cts at drops (d0, d1).
+func CiphertextBatchPackedSize(cts []*he.Ciphertext, d0, d1 int) int {
+	n := ciphertextBatchHeaderSize
 	for _, ct := range cts {
-		n += ct.PackedSize()
+		n += ct.PackedSize(d0, d1)
 	}
 	return n
 }
 
-// WriteCiphertextBatchPacked streams a bit-packed ciphertext batch:
-// [magic u32][flags u8][count u32][packed cts] — the logits of an inference
-// reply.
-func WriteCiphertextBatchPacked(w io.Writer, cts []*he.Ciphertext) error {
-	var hdr [9]byte
-	putU32(hdr[0:], ciphertextBatchMagicV2)
+// WriteCiphertextBatchPacked streams a bit-packed ciphertext batch — the
+// logits of an inference reply:
+// [magic u32][flags u8][d0 u8][d1 u8][count u32][packed cts], every element
+// without the d0 low bits of its c0 and the d1 low bits of its c1
+// coefficients (he.Ciphertext.WritePacked). The server writes its
+// engine's ReplyRounding; (0, 0) is lossless.
+func WriteCiphertextBatchPacked(w io.Writer, cts []*he.Ciphertext, d0, d1 int) error {
+	if d0 < 0 || d0 > 255 || d1 < 0 || d1 > 255 {
+		return fmt.Errorf("core: batch drops (%d, %d) out of range", d0, d1)
+	}
+	var hdr [ciphertextBatchHeaderSize]byte
+	putU32(hdr[0:], ciphertextBatchMagic)
 	hdr[4] = imgFlagPacked
-	putU32(hdr[5:], uint32(len(cts)))
+	hdr[5], hdr[6] = byte(d0), byte(d1)
+	putU32(hdr[7:], uint32(len(cts)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("core: write batch header: %w", err)
 	}
@@ -315,40 +330,47 @@ func WriteCiphertextBatchPacked(w io.Writer, cts []*he.Ciphertext) error {
 		if ct == nil {
 			return fmt.Errorf("core: nil ciphertext %d in batch", i)
 		}
-		if err := ct.WritePacked(w); err != nil {
+		if err := ct.WritePacked(w, d0, d1); err != nil {
 			return fmt.Errorf("core: encoding batch element %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// MarshalCiphertextBatchPacked renders a packed batch to bytes.
+// MarshalCiphertextBatchPacked renders a packed batch to bytes, lossless
+// (drops 0, 0). The benchmark ledger compiles against it.
 func MarshalCiphertextBatchPacked(cts []*he.Ciphertext) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, CiphertextBatchPackedSize(cts)))
-	if err := WriteCiphertextBatchPacked(buf, cts); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, CiphertextBatchPackedSize(cts, 0, 0)))
+	if err := WriteCiphertextBatchPacked(buf, cts, 0, 0); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // UnmarshalCiphertextBatchAny is the network batch decoder (the reverse of
-// WriteCiphertextBatchPacked). The name is kept for the frozen benchmark
-// ledger, which compiles against it, and goes at the next [benchmark] PR.
+// WriteCiphertextBatchPacked): it reads the drops from the header, refuses
+// any that would leave a coefficient no bit, and lifts every element back
+// to full residues. The name is kept for the frozen benchmark ledger, which
+// compiles against it, and goes at the next [benchmark] PR.
 func UnmarshalCiphertextBatchAny(b []byte, params he.Parameters) ([]*he.Ciphertext, error) {
 	r := bytes.NewReader(b)
-	if magic, err := readU32(r); err != nil || magic != ciphertextBatchMagicV2 {
+	if magic, err := readU32(r); err != nil || magic != ciphertextBatchMagic {
 		return nil, fmt.Errorf("core: not a packed ciphertext batch (bad magic)")
 	}
-	flags, err := r.ReadByte()
-	if err != nil {
+	var hdr [3]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: batch flags: %w", err)
 	}
-	if flags != imgFlagPacked {
-		return nil, fmt.Errorf("core: ciphertext batch with invalid flags %#x", flags)
+	if hdr[0] != imgFlagPacked {
+		return nil, fmt.Errorf("core: ciphertext batch with invalid flags %#x", hdr[0])
+	}
+	d0, d1 := int(hdr[1]), int(hdr[2])
+	if width := ring.CoeffBits(params.Q); d0 >= width || d1 >= width {
+		return nil, fmt.Errorf("core: batch drops (%d, %d) leave no bit of a %d-bit coefficient", d0, d1, width)
 	}
 	n, err := readU32(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: batch length: %w", err)
 	}
-	return readPackedCiphertexts(r, n, params)
+	return readPackedCiphertexts(r, n, params, d0, d1)
 }

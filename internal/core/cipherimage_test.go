@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -175,8 +176,8 @@ func TestCiphertextBatchAnyBothFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(packed) != CiphertextBatchPackedSize(cts) {
-		t.Fatalf("packed batch %d bytes, CiphertextBatchPackedSize says %d", len(packed), CiphertextBatchPackedSize(cts))
+	if len(packed) != CiphertextBatchPackedSize(cts, 0, 0) {
+		t.Fatalf("packed batch %d bytes, CiphertextBatchPackedSize says %d", len(packed), CiphertextBatchPackedSize(cts, 0, 0))
 	}
 	if len(packed) >= len(fixed) {
 		t.Fatalf("packed batch %dB not smaller than fixed-width %dB", len(packed), len(fixed))
@@ -335,8 +336,8 @@ func TestCipherImageV2RejectsHugeCount(t *testing.T) {
 	}
 	// Same bound on the v2 batch decoder.
 	var buf bytes.Buffer
-	writeU32(&buf, ciphertextBatchMagicV2)
-	buf.WriteByte(imgFlagPacked)
+	writeU32(&buf, ciphertextBatchMagic)
+	buf.Write([]byte{imgFlagPacked, 0, 0})
 	writeU32(&buf, uint32(maxBatchCiphertexts))
 	if _, err := UnmarshalCiphertextBatchAny(buf.Bytes(), params); err == nil {
 		t.Fatal("batch count beyond payload accepted")
@@ -432,6 +433,156 @@ func foreignEncodings(tb testing.TB, pk *CipherImage, seeded *SeededCipherImage)
 		{"valid packed image with an unknown bit", reflag(validPacked.Bytes(), imgFlagPacked|1<<7)},
 		{"v1 image", fixedWidthImageV1(tb, pk)},
 		{"fixed-width element in packed image", mixed.Bytes()},
+		{"seeded element at full width", unroundedSeededImage(tb, seeded, true)},
+		{"rounded seeded element without the rounded flag", unroundedSeededImage(tb, seeded, false)},
+	}
+}
+
+// unroundedSeededImage re-encodes a seeded image with every element flagged
+// packed but not rounded — the frame the writer emitted before uploads were
+// rounded when fullWidth (c0 at CoeffBits(q)), a rounded c0 that lost its
+// flag otherwise.
+func unroundedSeededImage(tb testing.TB, im *SeededCipherImage, fullWidth bool) []byte {
+	tb.Helper()
+	valid, err := MarshalSeededCipherImage(im)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf := bytes.NewBuffer(bytes.Clone(valid[:cipherImageV2HeaderSize]))
+	for _, sc := range im.CTs {
+		elem, err := he.MarshalSeededCiphertext(sc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		elem[4] = 1 // the packed flag alone
+		buf.Write(elem[:25+he.SeedSize])
+		d := sc.Params.SeededDropBits()
+		if fullWidth {
+			d = 0
+		}
+		if err := ring.WritePolyPacked(buf, sc.C0, sc.Params.Q, d); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestSeededImageRefusesUnroundedFrames: an upload whose seeded elements lack
+// the rounded flag — full-width c0 or not — is refused with the typed
+// *he.SeededFlagsError, which the reader returns from the flags byte before
+// it reads any of the element's body.
+func TestSeededImageRefusesUnroundedFrames(t *testing.T) {
+	params := testParams(t)
+	svc := testService(t, params)
+	client := testClient(t, svc)
+	si, err := client.EncryptImageSeeded(tinyImage(40), 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fullWidth := range []bool{true, false} {
+		_, _, err := UnmarshalCipherImageAuto(unroundedSeededImage(t, si, fullWidth), params)
+		var flagsErr *he.SeededFlagsError
+		if !errors.As(err, &flagsErr) || flagsErr.Flags != 1 {
+			t.Fatalf("full width %v: got %v, want a *he.SeededFlagsError for flags 0x1", fullWidth, err)
+		}
+	}
+}
+
+// TestReplyBatchRounding: a batch written at drops (d0, d1) is exactly
+// CiphertextBatchPackedSize bytes, smaller than the lossless batch, decodes
+// to ciphertexts within 2^(d−1) of the originals (cyclically mod q) that
+// decrypt to the same plaintexts, and the decoder refuses drops that leave no
+// bit and wire values above the top bucket (q−1) >> d, whose lift would
+// pass q.
+func TestReplyBatchRounding(t *testing.T) {
+	params := testParams(t)
+	kg, err := he.NewKeyGenerator(params, ring.NewSeededSource(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, pk := kg.GenKeyPair()
+	enc, err := he.NewEncryptor(pk, ring.NewSeededSource(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := he.NewDecryptor(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cts []*he.Ciphertext
+	for v := uint64(0); v < 4; v++ {
+		ct, err := enc.EncryptScalar(v * 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts = append(cts, ct)
+	}
+	top := he.NewCiphertext(params, 2)
+	for _, p := range top.Polys {
+		for i := range p.Coeffs {
+			p.Coeffs[i] = params.Q - 1
+		}
+	}
+	d0, d1 := params.FreshNoiseBound().MaxRound()
+	if d0 == 0 || d1 == 0 {
+		t.Fatalf("fresh bound grants drops (%d, %d)", d0, d1)
+	}
+	var buf bytes.Buffer
+	if err := WriteCiphertextBatchPacked(&buf, append(cts, top), d0, d1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.Len(), CiphertextBatchPackedSize(append(cts, top), d0, d1); got != want {
+		t.Fatalf("rounded batch %d B, CiphertextBatchPackedSize says %d", got, want)
+	}
+	lossless, err := MarshalCiphertextBatchPacked(append(cts, top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() >= len(lossless) {
+		t.Fatalf("rounded batch %d B not smaller than lossless %d B", buf.Len(), len(lossless))
+	}
+	rounded := bytes.Clone(buf.Bytes())
+	got, err := UnmarshalCiphertextBatchAny(rounded, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := params.Ring().Mod
+	for i, ct := range append(cts, top) {
+		for p, d := range []int{d0, d1} {
+			half := int64(1) << uint(d-1)
+			for j, c := range got[i].Polys[p].Coeffs {
+				if diff := mod.Centered(mod.Sub(c, ct.Polys[p].Coeffs[j])); diff > half || diff < -half {
+					t.Fatalf("ciphertext %d poly %d coefficient %d moved by %d, beyond 2^(d−1)", i, p, j, diff)
+				}
+			}
+		}
+		if i < len(cts) {
+			want, err := dec.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pt, err := dec.Decrypt(got[i]); err != nil || !pt.Poly.Equal(want.Poly) {
+				t.Fatalf("rounded ciphertext %d decrypts differently (err %v)", i, err)
+			}
+		}
+	}
+
+	width := ring.CoeffBits(params.Q)
+	for _, d := range [][2]byte{{byte(width), 0}, {0, byte(width)}, {255, 255}} {
+		b := bytes.Clone(rounded)
+		b[5], b[6] = d[0], d[1]
+		if _, err := UnmarshalCiphertextBatchAny(b, params); err == nil {
+			t.Fatalf("drops (%d, %d) at a %d-bit modulus accepted", d[0], d[1], width)
+		}
+	}
+	// Every wire bit of the last element's c1 set: values above the top
+	// bucket.
+	over := bytes.Clone(rounded)
+	for i := len(over) - (params.N*(width-d1)+7)/8; i < len(over); i++ {
+		over[i] = 0xFF
+	}
+	if _, err := UnmarshalCiphertextBatchAny(over, params); err == nil {
+		t.Fatal("wire values above (q−1) >> d accepted")
 	}
 }
 

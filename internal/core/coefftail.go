@@ -31,15 +31,15 @@ import (
 
 // planCoeffTail decides whether the whole-map pool step in front of
 // steps[prefix] hands the FC a single coefficient-packed ciphertext, returning
-// the predicted budget of the FC outputs on that tail, or the reason the pool
+// the noise bound of the FC outputs on that tail, or the reason the pool
 // keeps emitting scalar ciphertexts.
-func planCoeffTail(params he.Parameters, steps []*planStep, prefix int) (budgetBits float64, reason string) {
+func planCoeffTail(params he.Parameters, steps []*planStep, prefix int) (noise he.NoiseBound, reason string) {
 	if len(steps) < prefix+2 || steps[prefix].kind != stepFlatten || steps[prefix+1].kind != stepFC {
-		return 0, "pool is not followed by flatten → fully connected"
+		return noise, "pool is not followed by flatten → fully connected"
 	}
 	fc := steps[prefix+1].fc
 	if fc.In > params.N {
-		return 0, fmt.Sprintf("fc input %d exceeds %d plaintext coefficients", fc.In, params.N)
+		return noise, fmt.Sprintf("fc input %d exceeds %d plaintext coefficients", fc.In, params.N)
 	}
 	// Every consumer of the tail's outputs reads coefficient 0 and ignores the
 	// masked by-products beside it — except the fold in front of a
@@ -49,16 +49,16 @@ func planCoeffTail(params he.Parameters, steps []*planStep, prefix int) (budgetB
 		next = next[1:]
 	}
 	if len(next) > 0 && next[0].kind == stepPool && next[0].coeffIn > 0 {
-		return 0, "fc outputs reach a coefficient-packed pool crossing unrefreshed"
+		return noise, "fc outputs reach a coefficient-packed pool crossing unrefreshed"
 	}
 	// One plaintext product against a row of ℓ1 norm ≤ MaxRowL1 over a
 	// fresh (enclave re-encrypted) input, plus the bias/mask plaintext: the
 	// same ℓ1 amplification as the scalar kernel's WeightedSum.
-	noise := params.FreshNoiseBound().MulPlain(float64(fc.MaxRowL1()), fc.In).AddPlain()
+	noise = params.FreshNoiseBound().MulPlain(float64(fc.MaxRowL1()), fc.In).AddPlain()
 	if noise.Exhausted() {
-		return 0, fmt.Sprintf("coefficient-packed fc noise bound exhausted (%.1f bits; lower WeightScale)", noise.BudgetBits())
+		return noise, fmt.Sprintf("coefficient-packed fc noise bound exhausted (%.1f bits; lower WeightScale)", noise.BudgetBits())
 	}
-	return noise.BudgetBits(), ""
+	return noise, ""
 }
 
 // encodeFCRows builds the coefficient tail's weight operands: one prepared

@@ -240,6 +240,10 @@ type HybridEngine struct {
 
 	// outScale is the fixed-point scale of the final logits.
 	outScale float64
+
+	// replyD0/replyD1 are the reply rounding (ReplyRounding): how many low
+	// bits of c0 and c1 every logit ciphertext leaves off the wire.
+	replyD0, replyD1 int
 }
 
 // newHybridEngine plans the hybrid execution of model from a filled
@@ -372,10 +376,18 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 		s.label = fmt.Sprintf("%02d_%s", i, s.kind.String())
 	}
 	e.outScale = scale
+	// The logit routes a reply can carry, as noise bounds: one value per
+	// ciphertext through the final steps (scalar requests without a tail,
+	// client SIMD batches, the packed prefix without a tail), the enclave's
+	// fresh re-encryption (lane demux), and the coefficient tail where one is
+	// planned.
+	routes := []he.NoiseBound{noise, params.FreshNoiseBound()}
 	for i, s := range e.steps {
 		if s.coeffIn > 0 {
-			if _, s.coeffTailReason = planCoeffTail(params, e.steps, i+1); s.coeffTailReason == "" {
+			var tail he.NoiseBound
+			if tail, s.coeffTailReason = planCoeffTail(params, e.steps, i+1); s.coeffTailReason == "" {
 				s.coeffTail, e.steps[i+2].coeffRows = true, true
+				routes = append(routes, tail)
 			}
 		}
 	}
@@ -394,9 +406,33 @@ func newHybridEngine(svc *EnclaveService, model *nn.Network, cfg Config) (*Hybri
 	}
 	if cfg.PackedConv {
 		e.packed, e.packedReason = planPacked(params, e.steps, e.slotCapable)
+		if e.packed != nil && e.packed.coeffTail {
+			routes = append(routes, e.packed.fcNoise)
+		}
 	}
+	e.replyD0, e.replyD1 = lowestBudget(routes).MaxRound()
 	return e, nil
 }
+
+// lowestBudget returns the bound with the least predicted budget.
+func lowestBudget(bounds []he.NoiseBound) he.NoiseBound {
+	low := bounds[0]
+	for _, b := range bounds[1:] {
+		if b.BudgetBits() < low.BudgetBits() {
+			low = b
+		}
+	}
+	return low
+}
+
+// ReplyRounding returns how many low bits of c0 (d0) and of c1 (d1) every
+// logit ciphertext of a reply leaves off the wire
+// (WriteCiphertextBatchPacked). It is fixed at plan time: the largest
+// d0 + d1 that keeps at least one bit of predicted budget
+// (he.NoiseBound.Round) on the lowest-budget logit route this engine can
+// serve, so every route decrypts exactly after the client lifts the
+// coefficients back.
+func (e *HybridEngine) ReplyRounding() (d0, d1 int) { return e.replyD0, e.replyD1 }
 
 // maxCoeffPacking returns the largest g ≤ n for which the sum of g monomial-
 // shifted ciphertexts, each bounded by entering, still has predicted budget

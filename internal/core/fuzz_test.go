@@ -154,3 +154,88 @@ func FuzzPoolEnvelope(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalCiphertextBatchAny drives the client's reply decoder with
+// hostile bytes: lossless and rounded batches, drop counts that would leave a
+// coefficient no bit (CoeffBits(q), 255), frames whose every wire value sits
+// in the top bucket (q−1) >> d — the one whose lift wraps past q — and frames
+// whose values overflow it. Any input must error or decode to fully
+// validated ciphertexts that re-encode at the header's drops — never panic,
+// and never allocate for a count the payload cannot back.
+func FuzzUnmarshalCiphertextBatchAny(f *testing.F) {
+	params := testParams(f)
+	kg, err := he.NewKeyGenerator(params, ring.NewSeededSource(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, pk := kg.GenKeyPair()
+	enc, err := he.NewEncryptor(pk, ring.NewSeededSource(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var cts []*he.Ciphertext
+	for v := uint64(0); v < 3; v++ {
+		ct, err := enc.EncryptScalar(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cts = append(cts, ct)
+	}
+	// The drops a plan grants an FC output over 64 fresh inputs.
+	d0, d1 := params.FreshNoiseBound().WeightedSum(64, 64).AddPlain().MaxRound()
+	batch := func(cts []*he.Ciphertext, d0, d1 int) []byte {
+		var buf bytes.Buffer
+		if err := WriteCiphertextBatchPacked(&buf, cts, d0, d1); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	lossless, err := MarshalCiphertextBatchPacked(cts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rounded := batch(cts, d0, d1)
+	f.Add(lossless)
+	f.Add(rounded)
+	width := ring.CoeffBits(params.Q)
+	for _, d := range [][2]byte{{byte(width), 0}, {0, byte(width)}, {255, 255}, {byte(width - 1), byte(width - 1)}} {
+		b := bytes.Clone(rounded)
+		b[5], b[6] = d[0], d[1]
+		f.Add(b)
+	}
+	top := he.NewCiphertext(params, 2)
+	for _, p := range top.Polys {
+		for i := range p.Coeffs {
+			p.Coeffs[i] = params.Q - 1
+		}
+	}
+	f.Add(batch([]*he.Ciphertext{top}, d0, d1))
+	over := batch([]*he.Ciphertext{top}, d0, d1)
+	for i := ciphertextBatchHeaderSize + 29 + 4; i < len(over); i++ {
+		over[i] = 0xFF
+	}
+	f.Add(over)
+	f.Add(rounded[:ciphertextBatchHeaderSize])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := UnmarshalCiphertextBatchAny(data, params)
+		if err != nil {
+			return
+		}
+		for i, ct := range got {
+			if verr := ct.Validate(); verr != nil {
+				t.Fatalf("accepted ciphertext %d fails validation: %v", i, verr)
+			}
+		}
+		d0, d1 := int(data[5]), int(data[6])
+		var buf bytes.Buffer
+		if err := WriteCiphertextBatchPacked(&buf, got, d0, d1); err != nil {
+			t.Fatalf("re-encoding an accepted batch at (%d, %d): %v", d0, d1, err)
+		}
+		again, err := UnmarshalCiphertextBatchAny(buf.Bytes(), params)
+		if err != nil || len(again) != len(got) {
+			t.Fatalf("re-decoding an accepted batch: %d of %d ciphertexts, %v", len(again), len(got), err)
+		}
+	})
+}

@@ -69,11 +69,11 @@ type packedPlan struct {
 	poolBudgetBits float64
 	// coeffTail records the planner's tail decision: pool-unpack emits one
 	// coefficient-packed ciphertext and the FC after the prefix runs the
-	// coefficient kernel, with fcBudgetBits the predicted budget of its
+	// coefficient kernel, with fcNoise the noise bound of its
 	// outputs. When false, coeffTailReason says why the scalar unpack stays.
 	coeffTail       bool
 	coeffTailReason string
-	fcBudgetBits    float64
+	fcNoise         he.NoiseBound
 
 	// mu guards the per-stride Galois key cache and installed key sets.
 	mu sync.Mutex
@@ -143,7 +143,7 @@ func planPacked(params he.Parameters, steps []*planStep, slotCapable bool) (*pac
 	if !pool.fused {
 		p.poolBudgetBits = params.FreshNoiseBound().BudgetBits()
 	}
-	p.fcBudgetBits, p.coeffTailReason = planCoeffTail(params, steps, p.prefix)
+	p.fcNoise, p.coeffTailReason = planCoeffTail(params, steps, p.prefix)
 	if p.coeffTail = p.coeffTailReason == ""; p.coeffTail {
 		steps[p.prefix+1].coeffRows = true
 	}
@@ -162,7 +162,7 @@ func (p *packedPlan) budgetBits(i int) (float64, bool) {
 	case i == p.prefix-1:
 		return p.poolBudgetBits, true
 	case i == p.prefix+1 && p.coeffTail:
-		return p.fcBudgetBits, true
+		return p.fcNoise.BudgetBits(), true
 	}
 	return 0, false
 }
@@ -188,6 +188,15 @@ type PackedInfo struct {
 	FCBudgetBits    float64 `json:"fc_budget_bits,omitempty"`
 }
 
+// fcBudgetBits is the coefficient-tail FC's predicted budget, 0 without a
+// tail (the field PackedInfo omits).
+func (p *packedPlan) fcBudgetBits() float64 {
+	if !p.coeffTail {
+		return 0
+	}
+	return p.fcNoise.BudgetBits()
+}
+
 // PackedInfo returns the packed-execution plan summary.
 func (e *HybridEngine) PackedInfo() PackedInfo {
 	if e.packed == nil {
@@ -200,7 +209,7 @@ func (e *HybridEngine) PackedInfo() PackedInfo {
 		PoolBudgetBits:  e.packed.poolBudgetBits,
 		CoeffTail:       e.packed.coeffTail,
 		CoeffTailReason: e.packed.coeffTailReason,
-		FCBudgetBits:    e.packed.fcBudgetBits,
+		FCBudgetBits:    e.packed.fcBudgetBits(),
 	}
 }
 

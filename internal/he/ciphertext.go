@@ -196,29 +196,50 @@ func (ct *Ciphertext) WireSize() int {
 	return n
 }
 
-// PackedSize returns the exact serialized size of WritePacked for ct.
-func (ct *Ciphertext) PackedSize() int {
+// PackedSize returns the exact serialized size of WritePacked(w, d0, d1)
+// for ct.
+func (ct *Ciphertext) PackedSize(d0, d1 int) int {
 	width := ring.CoeffBits(ct.Params.Q)
-	return 29 + len(ct.Polys)*ring.PackedPolySize(ct.Params.N, width)
+	n := 29
+	for i := range ct.Polys {
+		n += ring.PackedPolySize(ct.Params.N, width-polyDrop(i, d0, d1))
+	}
+	return n
 }
 
 // MinCiphertextWireSize returns the smallest encoding a ciphertext under
-// params can occupy on the network — a size-2 packed frame. Decoders use it
-// to reject element counts the remaining payload cannot possibly hold,
-// before allocating count-sized storage.
-func MinCiphertextWireSize(params Parameters) int {
+// params can occupy on the network at drops (d0, d1) — a size-2 packed
+// frame. Decoders use it to reject element counts the remaining payload
+// cannot possibly hold, before allocating count-sized storage.
+func MinCiphertextWireSize(params Parameters, d0, d1 int) int {
 	width := ring.CoeffBits(params.Q)
-	return 29 + 2*ring.PackedPolySize(params.N, width)
+	return 29 + ring.PackedPolySize(params.N, width-d0) + ring.PackedPolySize(params.N, width-d1)
+}
+
+// polyDrop is the drop count of component i: d0 for c0, d1 for c1.
+func polyDrop(i, d0, d1 int) int {
+	if i == 0 {
+		return d0
+	}
+	return d1
 }
 
 // WritePacked serializes the ciphertext in the packed network layout:
 // [magic u32][flags u8][n u32][q u64][t u64][size u32] followed by each
-// polynomial bit-packed at ceil(log2 q) bits per coefficient — ~10% smaller
-// than the fixed-width layout for the 58-bit default modulus. Like Write, it
-// refuses evaluation-form ciphertexts loudly.
-func (ct *Ciphertext) WritePacked(w io.Writer) error {
+// polynomial bit-packed at ceil(log2 q) bits per coefficient, less the d0
+// low bits of every c0 coefficient and the d1 low bits of every c1
+// coefficient (ring.WritePolyPacked; (0, 0) is lossless). The frame does not
+// record the drops: whoever frames it carries them to ReadCiphertextPacked.
+// Decryption stays exact while the ciphertext's noise bound after
+// NoiseBound.Round(d0, d1) keeps budget; only size-2 ciphertexts round,
+// because that bound covers c0 and c1·s alone. Like Write, it refuses
+// evaluation-form ciphertexts loudly.
+func (ct *Ciphertext) WritePacked(w io.Writer, d0, d1 int) error {
 	if ct.Form != CoeffForm {
 		return fmt.Errorf("he: cannot serialize %v-form ciphertext; call ToCoeff first", ct.Form)
+	}
+	if (d0 != 0 || d1 != 0) && len(ct.Polys) != 2 {
+		return fmt.Errorf("he: cannot round a size-%d ciphertext", len(ct.Polys))
 	}
 	hdr := []any{
 		ciphertextMagicV2,
@@ -233,9 +254,8 @@ func (ct *Ciphertext) WritePacked(w io.Writer) error {
 			return fmt.Errorf("he: write packed ciphertext header: %w", err)
 		}
 	}
-	width := ring.CoeffBits(ct.Params.Q)
-	for _, p := range ct.Polys {
-		if err := ring.WritePolyPacked(w, p, width); err != nil {
+	for i, p := range ct.Polys {
+		if err := ring.WritePolyPacked(w, p, ct.Params.Q, polyDrop(i, d0, d1)); err != nil {
 			return fmt.Errorf("he: write packed ciphertext poly: %w", err)
 		}
 	}
@@ -243,8 +263,8 @@ func (ct *Ciphertext) WritePacked(w io.Writer) error {
 }
 
 // readCiphertextBody parses the post-magic remainder of a ciphertext frame.
-// packed selects the bit-packed coefficient codec.
-func readCiphertextBody(r io.Reader, params Parameters, packed bool) (*Ciphertext, error) {
+// packed selects the bit-packed coefficient codec, at drops (d0, d1).
+func readCiphertextBody(r io.Reader, params Parameters, packed bool, d0, d1 int) (*Ciphertext, error) {
 	var (
 		n, size uint32
 		q, t    uint64
@@ -261,7 +281,9 @@ func readCiphertextBody(r io.Reader, params Parameters, packed bool) (*Ciphertex
 	if size < 2 || size > 3 {
 		return nil, fmt.Errorf("he: ciphertext size %d out of range", size)
 	}
-	width := ring.CoeffBits(params.Q)
+	if (d0 != 0 || d1 != 0) && size != 2 {
+		return nil, fmt.Errorf("he: rounded ciphertext of size %d", size)
+	}
 	ct := &Ciphertext{Params: params, Polys: make([]ring.Poly, size)}
 	for i := range ct.Polys {
 		var (
@@ -269,7 +291,7 @@ func readCiphertextBody(r io.Reader, params Parameters, packed bool) (*Ciphertex
 			err error
 		)
 		if packed {
-			p, err = ring.ReadPolyPacked(r, width)
+			p, err = ring.ReadPolyPacked(r, params.Q, polyDrop(i, d0, d1))
 		} else {
 			p, err = ring.ReadPoly(r)
 		}
@@ -294,12 +316,13 @@ func ReadCiphertext(r io.Reader, params Parameters) (*Ciphertext, error) {
 	if magic != ciphertextMagic {
 		return nil, fmt.Errorf("he: bad ciphertext magic %#x", magic)
 	}
-	return readCiphertextBody(r, params, false)
+	return readCiphertextBody(r, params, false, 0, 0)
 }
 
-// ReadCiphertextPacked deserializes a packed (network) ciphertext and
-// validates it against params.
-func ReadCiphertextPacked(r io.Reader, params Parameters) (*Ciphertext, error) {
+// ReadCiphertextPacked deserializes a packed (network) ciphertext written by
+// WritePacked at drops (d0, d1), lifting every coefficient back to a full
+// residue, and validates it against params.
+func ReadCiphertextPacked(r io.Reader, params Parameters, d0, d1 int) (*Ciphertext, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
 		return nil, fmt.Errorf("he: read ciphertext header: %w", err)
@@ -314,5 +337,5 @@ func ReadCiphertextPacked(r io.Reader, params Parameters) (*Ciphertext, error) {
 	if flags&ctFlagPacked == 0 {
 		return nil, fmt.Errorf("he: packed ciphertext without packed flag (flags %#x)", flags)
 	}
-	return readCiphertextBody(r, params, true)
+	return readCiphertextBody(r, params, true, d0, d1)
 }

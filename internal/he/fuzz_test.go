@@ -212,6 +212,34 @@ func FuzzReadSeededCiphertext(f *testing.F) {
 	hostileLen := bytes.Clone(valid)
 	copy(hostileLen[25+SeedSize:], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // packed count
 	f.Add(hostileLen)
+	// Rounded frames: c0 at the top bucket (q−1) >> d, whose lift wraps past
+	// q; the same frame with the rounded flag cleared; a full-width c0 under
+	// the packed flag alone (the frame before uploads were rounded); and a
+	// c0 whose wire values all overflow the top bucket.
+	top := &SeededCiphertext{Params: params, C0: params.Ring().NewPoly(), Seed: sc.Seed}
+	for i := range top.C0.Coeffs {
+		top.C0.Coeffs[i] = params.Q - 1
+	}
+	topFrame, err := MarshalSeededCiphertext(top)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(topFrame)
+	unflagged := bytes.Clone(topFrame)
+	unflagged[4] = sctFlagPacked
+	f.Add(unflagged)
+	var fullWidth bytes.Buffer
+	fullWidth.Write(valid[:25+SeedSize])
+	fullWidth.Bytes()[4] = sctFlagPacked
+	if err := ring.WritePolyPacked(&fullWidth, sc.C0, params.Q, 0); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fullWidth.Bytes())
+	overflow := bytes.Clone(topFrame)
+	for i := 25 + SeedSize + 4; i < len(overflow); i++ {
+		overflow[i] = 0xFF
+	}
+	f.Add(overflow)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := UnmarshalSeededCiphertext(data, params)

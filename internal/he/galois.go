@@ -323,7 +323,6 @@ func WriteGaloisKeys(w io.Writer, gk *GaloisKeys) error {
 			return fmt.Errorf("he: write galois keys header: %w", err)
 		}
 	}
-	width := ring.CoeffBits(gk.Params.Q)
 	for _, g := range gk.Elements() {
 		key := gk.keys[g]
 		if err := binary.Write(w, binary.LittleEndian, g); err != nil {
@@ -333,7 +332,7 @@ func WriteGaloisKeys(w io.Writer, gk *GaloisKeys) error {
 			if _, err := w.Write(key.seeds[i][:]); err != nil {
 				return fmt.Errorf("he: write galois seed: %w", err)
 			}
-			if err := ring.WritePolyPacked(w, key.K0[i], width); err != nil {
+			if err := ring.WritePolyPacked(w, key.K0[i], gk.Params.Q, 0); err != nil {
 				return err
 			}
 		}
@@ -402,7 +401,7 @@ func ReadGaloisKeys(r io.Reader) (*GaloisKeys, error) {
 			if _, err := io.ReadFull(r, key.seeds[i][:]); err != nil {
 				return nil, fmt.Errorf("he: read galois seed: %w", err)
 			}
-			k0, err := ring.ReadPolyPacked(r, width)
+			k0, err := ring.ReadPolyPacked(r, params.Q, 0)
 			if err != nil {
 				return nil, err
 			}

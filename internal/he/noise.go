@@ -31,9 +31,11 @@ type NoiseBound struct {
 
 // FreshNoiseBound bounds a fresh encryption. Public-key encryption yields
 // w = e1 + e2·s − e_pk·u with ternary s, u and ‖e‖∞ ≤ B, so
-// ‖w‖∞ ≤ B·(2n+1). Symmetric (seeded) encryption carries only the single
-// error term e (‖w‖∞ ≤ B), so the public-key bound is safely conservative
-// for every upload path the framework uses.
+// ‖w‖∞ ≤ B·(2n+1). A symmetric (seeded) encryption carries only the single
+// error term e, but its upload drops d = SeededDropBits low bits of c0,
+// which the receiver's lift moves by up to 2^(d−1): ‖w‖∞ ≤ B + 2^(d−1),
+// and d is chosen so that this stays within B·(2n+1). The public-key bound
+// therefore covers every upload path the framework uses, rounded or not.
 func (p Parameters) FreshNoiseBound() NoiseBound {
 	b := ring.GaussianBound()
 	return NoiseBound{params: p, w: b * float64(2*p.N+1)}
@@ -153,6 +155,50 @@ func (b NoiseBound) KeySwitch(baseBits int) NoiseBound {
 	base := math.Pow(2, float64(baseBits))
 	b.w += float64(b.params.DecompDigitsFor(baseBits)) * float64(b.params.N) * base * ring.GaussianBound()
 	return b
+}
+
+// Round bounds a size-2 ciphertext after a wire trip that dropped the d0 low
+// bits of every c0 coefficient and the d1 low bits of every c1 coefficient
+// (ring.WritePolyPacked). The lift moves each c0 coefficient by at most
+// 2^(d0−1) and each c1 coefficient by at most 2^(d1−1); the c1 error enters
+// the phase through c1·s, and a ternary s spreads it over at most n terms:
+// w += 2^(d0−1) + n·2^(d1−1).
+func (b NoiseBound) Round(d0, d1 int) NoiseBound {
+	b.w += roundingError(d0) + float64(b.params.N)*roundingError(d1)
+	return b
+}
+
+// roundingError bounds how far a coefficient moves when its d low bits are
+// dropped and lifted back to the interval midpoint: 2^(d−1), 0 at d = 0.
+func roundingError(d int) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return math.Ldexp(1, d-1)
+}
+
+// MaxRound returns the drop counts (d0, d1), each below CoeffBits(q), with
+// the largest d0 + d1 for which Round(d0, d1) still predicts at least one
+// bit of budget — (0, 0) when b has less than that to spend. Among equal
+// sums it takes the pair that adds the least noise, and of those the one
+// that drops more of c1.
+func (b NoiseBound) MaxRound() (d0, d1 int) {
+	width := ring.CoeffBits(b.params.Q)
+	bestSum, bestCost := 0, 0.0
+	for c1 := width - 1; c1 >= 0; c1-- {
+		if b.Round(0, c1).BudgetBits() < 1 {
+			continue
+		}
+		c0 := 0
+		for c0+1 < width && b.Round(c0+1, c1).BudgetBits() >= 1 {
+			c0++
+		}
+		cost := roundingError(c0) + float64(b.params.N)*roundingError(c1)
+		if sum := c0 + c1; sum > bestSum || (sum == bestSum && cost < bestCost) {
+			d0, d1, bestSum, bestCost = c0, c1, sum, cost
+		}
+	}
+	return d0, d1
 }
 
 // Refresh models the enclave's decrypt–re-encrypt: the output is a fresh

@@ -121,7 +121,8 @@ func TestSeededNoiseBudgetMatchesPublicKey(t *testing.T) {
 }
 
 // TestSeededCiphertextWireRoundTrip: marshal → unmarshal → expand → decrypt
-// recovers the plaintext, and the byte count matches PackedSize exactly.
+// recovers the plaintext, the byte count matches PackedSize exactly, and the
+// wire rounds c0 by at most 2^(d−1) per coefficient at d = SeededDropBits.
 func TestSeededCiphertextWireRoundTrip(t *testing.T) {
 	tc, senc := newSymmetricContext(t, 70)
 	pt := randomPlaintext(tc, ring.NewSeededSource(71), 32)
@@ -140,8 +141,18 @@ func TestSeededCiphertextWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seed != sc.Seed || !got.C0.Equal(sc.C0) {
-		t.Fatal("wire round trip changed the seeded ciphertext")
+	if got.Seed != sc.Seed {
+		t.Fatal("wire round trip changed the seed")
+	}
+	d := tc.params.SeededDropBits()
+	if d == 0 {
+		t.Fatal("seeded uploads drop no bits at these parameters")
+	}
+	mod := tc.params.Ring().Mod
+	for i, c := range got.C0.Coeffs {
+		if diff := mod.Centered(mod.Sub(c, sc.C0.Coeffs[i])); diff > 1<<(d-1) || diff < -(1<<(d-1)) {
+			t.Fatalf("c0[%d] moved by %d, beyond 2^(d−1) at d = %d", i, diff, d)
+		}
 	}
 	expanded, err := got.Expand()
 	if err != nil {
@@ -192,8 +203,8 @@ func TestPackedCiphertextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(packed) != ct.PackedSize() {
-		t.Fatalf("packed %d bytes, PackedSize says %d", len(packed), ct.PackedSize())
+	if len(packed) != ct.PackedSize(0, 0) {
+		t.Fatalf("packed %d bytes, PackedSize says %d", len(packed), ct.PackedSize(0, 0))
 	}
 	fixed, err := MarshalCiphertext(ct)
 	if err != nil {
@@ -229,7 +240,7 @@ func TestPackedSerializeNTTFormFailsLoudly(t *testing.T) {
 	}
 	ct.ToNTT()
 	var buf bytes.Buffer
-	if err := ct.WritePacked(&buf); err == nil {
+	if err := ct.WritePacked(&buf, 0, 0); err == nil {
 		t.Fatal("WritePacked accepted an NTT-form ciphertext")
 	}
 	if _, err := MarshalCiphertextPacked(ct); err == nil {

@@ -224,8 +224,8 @@ func UnmarshalCiphertext(b []byte, params Parameters) (*Ciphertext, error) {
 
 // MarshalCiphertextPacked renders a ciphertext in the packed network layout.
 func MarshalCiphertextPacked(ct *Ciphertext) ([]byte, error) {
-	w := newAppendWriter(make([]byte, 0, ct.PackedSize()))
-	if err := ct.WritePacked(w); err != nil {
+	w := newAppendWriter(make([]byte, 0, ct.PackedSize(0, 0)))
+	if err := ct.WritePacked(w, 0, 0); err != nil {
 		return nil, err
 	}
 	return w.b, nil
@@ -233,7 +233,7 @@ func MarshalCiphertextPacked(ct *Ciphertext) ([]byte, error) {
 
 // UnmarshalCiphertextPacked parses a packed (network) ciphertext from bytes.
 func UnmarshalCiphertextPacked(b []byte, params Parameters) (*Ciphertext, error) {
-	return ReadCiphertextPacked(bytes.NewReader(b), params)
+	return ReadCiphertextPacked(bytes.NewReader(b), params, 0, 0)
 }
 
 // UnmarshalSeededCiphertext parses a seed-compressed ciphertext from bytes.

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"bytes"
 	"math/big"
 	"math/bits"
 	mrand "math/rand/v2"
@@ -286,117 +285,4 @@ func TestRNSKernelsMatchPerLimb(t *testing.T) {
 	if !c.Equal(a) {
 		t.Fatal("RNS NTT/INTT round trip changed coefficients")
 	}
-}
-
-func TestRNSPolySerializeRoundTrip(t *testing.T) {
-	n := 128
-	chain, err := GenerateChain(57, n, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := NewRNSRing(n, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewPCG(11, 12))
-	p := rr.NewRNSPoly()
-	for j, r := range rr.Limbs {
-		for i := 0; i < n; i++ {
-			p.Limbs[j].Coeffs[i] = rng.Uint64() % r.Mod.Q
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteRNSPolyPacked(&buf, p, chain); err != nil {
-		t.Fatal(err)
-	}
-	// Packed limbs must beat the legacy 8-byte layout.
-	legacy := len(chain) * (4 + 8*n)
-	if buf.Len() >= legacy {
-		t.Errorf("packed rns frame %dB not smaller than legacy %dB", buf.Len(), legacy)
-	}
-	got, gotChain, err := ReadRNSPolyPacked(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotChain) != len(chain) {
-		t.Fatalf("chain length %d, want %d", len(gotChain), len(chain))
-	}
-	for i := range chain {
-		if gotChain[i] != chain[i] {
-			t.Fatalf("chain[%d] = %d, want %d", i, gotChain[i], chain[i])
-		}
-	}
-	if !got.Equal(p) {
-		t.Fatal("rns poly round trip changed coefficients")
-	}
-}
-
-func TestRNSPolySerializeRejects(t *testing.T) {
-	var buf bytes.Buffer
-	p := RNSPoly{Limbs: []Poly{{Coeffs: []uint64{1, 2}}}}
-	if err := WriteRNSPolyPacked(&buf, p, []uint64{17, 19}); err == nil {
-		t.Error("limb/chain mismatch accepted")
-	}
-	if err := WriteRNSPolyPacked(&buf, RNSPoly{}, nil); err == nil {
-		t.Error("empty chain accepted")
-	}
-	if _, _, err := ReadRNSPolyPacked(bytes.NewReader([]byte{0})); err == nil {
-		t.Error("zero limb count accepted")
-	}
-	if _, _, err := ReadRNSPolyPacked(bytes.NewReader([]byte{maxRNSLimbs + 1})); err == nil {
-		t.Error("oversized limb count accepted")
-	}
-}
-
-// FuzzReadRNSPolyPacked feeds hostile bytes to the limb-poly decoder: it
-// must error or return a fully validated poly (residues in range, uniform
-// degree), never panic, and accepted frames must round-trip stably.
-func FuzzReadRNSPolyPacked(f *testing.F) {
-	p := RNSPoly{Limbs: []Poly{
-		{Coeffs: []uint64{0, 1, 15, 7}},
-		{Coeffs: []uint64{3, 0, 11, 12}},
-	}}
-	var good bytes.Buffer
-	if err := WriteRNSPolyPacked(&good, p, []uint64{17, 13}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add([]byte{0xFF})
-	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{1, 17, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, chain, err := ReadRNSPolyPacked(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(got.Limbs) == 0 || len(got.Limbs) > maxRNSLimbs || len(got.Limbs) != len(chain) {
-			t.Fatalf("decoder accepted inconsistent limb count %d (chain %d)", len(got.Limbs), len(chain))
-		}
-		for j, limb := range got.Limbs {
-			if len(limb.Coeffs) != len(got.Limbs[0].Coeffs) {
-				t.Fatal("decoder accepted ragged limb degrees")
-			}
-			for i, c := range limb.Coeffs {
-				if c >= chain[j] {
-					t.Fatalf("limb %d coeff %d = %d ≥ modulus %d", j, i, c, chain[j])
-				}
-			}
-		}
-		var buf bytes.Buffer
-		if err := WriteRNSPolyPacked(&buf, got, chain); err != nil {
-			t.Fatalf("re-encoding accepted poly: %v", err)
-		}
-		again, chain2, err := ReadRNSPolyPacked(&buf)
-		if err != nil {
-			t.Fatalf("re-decoding: %v", err)
-		}
-		if !again.Equal(got) {
-			t.Fatal("re-encode round trip changed coefficients")
-		}
-		for i := range chain {
-			if chain2[i] != chain[i] {
-				t.Fatal("re-encode round trip changed chain")
-			}
-		}
-	})
 }

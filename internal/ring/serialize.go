@@ -86,7 +86,8 @@ func packedBytes(n, width int) int {
 }
 
 // PackedPolySize returns the serialized size of WritePolyPacked for an
-// n-coefficient polynomial at the given width, including the length prefix.
+// n-coefficient polynomial at the given wire width (CoeffBits(q) − d),
+// including the length prefix.
 func PackedPolySize(n, width int) int {
 	return 4 + packedBytes(n, width)
 }
@@ -95,16 +96,33 @@ func PackedPolySize(n, width int) int {
 // load/store aligned 64-bit windows without bounds gymnastics.
 const packPad = 8
 
-// WritePolyPacked serializes p with width bits per coefficient (little-endian
-// bit order within the stream), preceded by a uint32 coefficient count. Every
-// coefficient must fit in width bits; q < 2^58 rings need ceil(log2 q) ≤ 58
-// bits instead of the 64 the legacy layout spends. The whole frame — prefix
-// included — is packed and range-checked locally before any byte reaches w,
-// so an out-of-range coefficient can never leave a half-written frame on a
-// length-prefixed stream.
-func WritePolyPacked(w io.Writer, p Poly, width int) error {
-	if width < 1 || width > 63 {
-		return fmt.Errorf("ring: packed width %d out of range [1, 63]", width)
+// packedWidth validates a packed codec's modulus and drop count and returns
+// the wire width CoeffBits(q) − d, which always keeps at least one bit.
+func packedWidth(q uint64, d int) (int, error) {
+	full := CoeffBits(q)
+	if q < 2 || full > 63 {
+		return 0, fmt.Errorf("ring: packed modulus %d out of range [2, 2^63]", q)
+	}
+	if d < 0 || d >= full {
+		return 0, fmt.Errorf("ring: drop %d out of range [0, %d) for a %d-bit modulus", d, full, full)
+	}
+	return full - d, nil
+}
+
+// WritePolyPacked serializes p, whose coefficients are residues mod q, at
+// CoeffBits(q) − d bits per coefficient (little-endian bit order within the
+// stream), preceded by a uint32 coefficient count. The d low bits of every
+// coefficient are dropped (c >> d): ReadPolyPacked lifts each value back to
+// the midpoint of its 2^d-wide interval, so the decoded residue is within
+// 2^(d−1) of the original — the rounding error the noise accountant charges
+// for a rounded ciphertext. d = 0 is lossless. The whole frame — prefix
+// included — is packed and range-checked locally before any byte reaches
+// w, so an out-of-range coefficient can never leave a half-written frame on
+// a length-prefixed stream.
+func WritePolyPacked(w io.Writer, p Poly, q uint64, d int) error {
+	width, err := packedWidth(q, d)
+	if err != nil {
+		return err
 	}
 	n := len(p.Coeffs)
 	size := packedBytes(n, width)
@@ -115,11 +133,11 @@ func WritePolyPacked(w io.Writer, p Poly, width int) error {
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(n))
 	body := buf[4:]
-	limit := uint64(1) << uint(width)
 	for i, c := range p.Coeffs {
-		if c >= limit {
-			return fmt.Errorf("ring: coefficient %d = %d does not fit in %d bits", i, c, width)
+		if c >= q {
+			return fmt.Errorf("ring: coefficient %d = %d out of range [0, %d)", i, c, q)
 		}
+		c >>= uint(d)
 		bitOff := i * width
 		byteOff := bitOff >> 3
 		shift := uint(bitOff & 7)
@@ -135,11 +153,15 @@ func WritePolyPacked(w io.Writer, p Poly, width int) error {
 	return nil
 }
 
-// ReadPolyPacked deserializes a polynomial written by WritePolyPacked at the
-// same width. Hostile lengths error before any large allocation.
-func ReadPolyPacked(r io.Reader, width int) (Poly, error) {
-	if width < 1 || width > 63 {
-		return Poly{}, fmt.Errorf("ring: packed width %d out of range [1, 63]", width)
+// ReadPolyPacked deserializes a polynomial written by WritePolyPacked with
+// the same q and d. Each wire value x is refused above (q−1) >> d, the
+// largest a residue can shift to, and lifted to x·2^d + 2^(d−1) (x at
+// d = 0), minus q once when that passes q — so every decoded coefficient is
+// a residue in [0, q). Hostile lengths error before any large allocation.
+func ReadPolyPacked(r io.Reader, q uint64, d int) (Poly, error) {
+	width, err := packedWidth(q, d)
+	if err != nil {
+		return Poly{}, err
 	}
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -158,6 +180,11 @@ func ReadPolyPacked(r io.Reader, width int) (Poly, error) {
 		buf[i] = 0
 	}
 	mask := uint64(1)<<uint(width) - 1
+	maxX := (q - 1) >> uint(d)
+	var mid uint64
+	if d > 0 {
+		mid = 1 << uint(d-1)
+	}
 	p := Poly{Coeffs: make([]uint64, n)}
 	for i := range p.Coeffs {
 		bitOff := i * width
@@ -167,85 +194,17 @@ func ReadPolyPacked(r io.Reader, width int) (Poly, error) {
 		if int(shift)+width > 64 {
 			v |= uint64(buf[byteOff+8]) << (64 - shift)
 		}
-		p.Coeffs[i] = v & mask
+		x := v & mask
+		if x > maxX {
+			return Poly{}, fmt.Errorf("ring: packed coefficient %d = %d exceeds %d for modulus %d at drop %d", i, x, maxX, q, d)
+		}
+		c := x<<uint(d) + mid
+		if c >= q {
+			c -= q
+		}
+		p.Coeffs[i] = c
 	}
 	return p, nil
-}
-
-// maxRNSLimbs bounds deserialized limb counts; real chains carry a handful
-// of word-size primes, so anything larger is hostile or corrupt.
-const maxRNSLimbs = 16
-
-// WriteRNSPolyPacked serializes an RNS polynomial limb-wise: a one-byte limb
-// count, then per limb the modulus (uint64 little-endian) followed by the
-// coefficients packed at CoeffBits(q) — so a chain of 57-bit primes spends
-// 57 bits per coefficient per limb instead of 64. The limb moduli travel in
-// the frame so the decoder can derive each limb's packing width and validate
-// residue ranges without out-of-band parameters.
-func WriteRNSPolyPacked(w io.Writer, p RNSPoly, chain []uint64) error {
-	if len(chain) != len(p.Limbs) {
-		return fmt.Errorf("ring: rns poly has %d limbs but chain has %d moduli", len(p.Limbs), len(chain))
-	}
-	if len(chain) == 0 || len(chain) > maxRNSLimbs {
-		return fmt.Errorf("ring: rns limb count %d out of range [1, %d]", len(chain), maxRNSLimbs)
-	}
-	var hdr [9]byte
-	hdr[0] = byte(len(chain))
-	if _, err := w.Write(hdr[:1]); err != nil {
-		return fmt.Errorf("ring: write rns limb count: %w", err)
-	}
-	for i, q := range chain {
-		binary.LittleEndian.PutUint64(hdr[1:], q)
-		if _, err := w.Write(hdr[1:]); err != nil {
-			return fmt.Errorf("ring: write rns limb %d modulus: %w", i, err)
-		}
-		if err := WritePolyPacked(w, p.Limbs[i], CoeffBits(q)); err != nil {
-			return fmt.Errorf("ring: rns limb %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadRNSPolyPacked deserializes a polynomial written by WriteRNSPolyPacked,
-// returning the limbs and the chain of limb moduli carried in the frame.
-// Every residue is range-checked against its limb modulus; hostile limb
-// counts and degrees error before any large allocation.
-func ReadRNSPolyPacked(r io.Reader) (RNSPoly, []uint64, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return RNSPoly{}, nil, fmt.Errorf("ring: read rns limb count: %w", err)
-	}
-	k := int(hdr[0])
-	if k == 0 || k > maxRNSLimbs {
-		return RNSPoly{}, nil, fmt.Errorf("ring: rns limb count %d out of range [1, %d]", k, maxRNSLimbs)
-	}
-	chain := make([]uint64, k)
-	p := RNSPoly{Limbs: make([]Poly, k)}
-	for i := 0; i < k; i++ {
-		if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-			return RNSPoly{}, nil, fmt.Errorf("ring: read rns limb %d modulus: %w", i, err)
-		}
-		q := binary.LittleEndian.Uint64(hdr[1:])
-		if q < 2 {
-			return RNSPoly{}, nil, fmt.Errorf("ring: rns limb %d modulus %d too small", i, q)
-		}
-		limb, err := ReadPolyPacked(r, CoeffBits(q))
-		if err != nil {
-			return RNSPoly{}, nil, fmt.Errorf("ring: rns limb %d: %w", i, err)
-		}
-		if i > 0 && len(limb.Coeffs) != len(p.Limbs[0].Coeffs) {
-			return RNSPoly{}, nil, fmt.Errorf("ring: rns limb %d degree %d != %d",
-				i, len(limb.Coeffs), len(p.Limbs[0].Coeffs))
-		}
-		for j, c := range limb.Coeffs {
-			if c >= q {
-				return RNSPoly{}, nil, fmt.Errorf("ring: rns limb %d coefficient %d = %d out of range [0, %d)", i, j, c, q)
-			}
-		}
-		chain[i] = q
-		p.Limbs[i] = limb
-	}
-	return p, chain, nil
 }
 
 // ValidatePoly checks that p has the ring's degree and fully reduced

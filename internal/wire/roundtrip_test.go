@@ -171,9 +171,10 @@ func TestRoundTripBytesAndSpans(t *testing.T) {
 				if d := st.metrics.Counter("wire.bytes_out").Value() - out; d != link.r {
 					t.Errorf("wire.bytes_out grew %d over a connection that carried %d B down", d, link.r)
 				}
-				// Four logits, each a size-2 packed ciphertext, behind the
-				// 9-byte batch header.
-				plain := 8 + 9 + 4*he.MinCiphertextWireSize(client.Params())
+				// Four logits, each a size-2 packed ciphertext rounded to the
+				// engine's reply drops, behind the 11-byte batch header.
+				d0, d1 := st.engine.ReplyRounding()
+				plain := 8 + 11 + 4*he.MinCiphertextWireSize(client.Params(), d0, d1)
 				if sh.lanes > 0 {
 					plain += 4
 				}

@@ -465,9 +465,11 @@ func (s *Server) serveInfer(ctx context.Context, conn net.Conn, inner MsgType, p
 	// tree is complete before any reply byte hits the wire.
 	replyType, prefix := env.replyFraming(replyInner)
 	_, espan := trace.StartSpan(ctx, "wire.encode", "wire")
-	// The packed logits stream straight to the connection: the exact size is
-	// known up front, so no intermediate buffer is materialized.
-	replyLen := len(prefix) + n + core.CiphertextBatchPackedSize(res.Logits)
+	// The packed logits stream straight to the connection, rounded to the
+	// engine's plan-time drops: the exact size is known up front, so no
+	// intermediate buffer is materialized.
+	d0, d1 := s.engine.ReplyRounding()
+	replyLen := len(prefix) + n + core.CiphertextBatchPackedSize(res.Logits, d0, d1)
 	err = WriteFrameFunc(conn, replyType, replyLen, func(w io.Writer) error {
 		if len(prefix) > 0 {
 			if _, werr := w.Write(prefix); werr != nil {
@@ -477,7 +479,7 @@ func (s *Server) serveInfer(ctx context.Context, conn net.Conn, inner MsgType, p
 		if _, werr := w.Write(hdr[:n]); werr != nil {
 			return werr
 		}
-		return core.WriteCiphertextBatchPacked(w, res.Logits)
+		return core.WriteCiphertextBatchPacked(w, res.Logits, d0, d1)
 	})
 	espan.Arg("bytes", float64(replyLen)).End()
 	if err != nil {
